@@ -12,6 +12,14 @@
 // same key waits for that one result instead of running the pipeline
 // again. Hit, miss, coalesced-wait, and eviction counters are exposed
 // through Stats for the daemon's /statsz endpoint.
+//
+// In front of the canonical key sits an optional alias tier: the
+// Fingerprint of a request's exact bytes maps to the canonical key its
+// reply was stored under (PutAlias), so a byte-identical repeat is
+// served by GetAlias without parsing the request at all. Aliases live
+// in the same shards, recency order, and byte budget as the replies;
+// they hold a key, never a second copy of the body, and an alias whose
+// reply was evicted simply misses.
 package cache
 
 import (
@@ -133,29 +141,37 @@ func (s Source) String() string {
 // a hot shard shows up as an outsized Bytes/Evictions row.
 type ShardStats struct {
 	Hits      uint64 `json:"hits"`
+	AliasHits uint64 `json:"alias_hits"`
 	Misses    uint64 `json:"misses"`
 	Coalesced uint64 `json:"coalesced"`
 	Evictions uint64 `json:"evictions"`
 	Entries   int    `json:"entries"`
+	Aliases   int    `json:"aliases"`
 	Bytes     int64  `json:"bytes"`
 }
 
 // Stats is a point-in-time snapshot of the cache's counters, summed
 // over every shard.
 type Stats struct {
-	// Hits counts lookups served straight from the store.
+	// Hits counts lookups served straight from the store, through
+	// either tier: one per served hit.
 	Hits uint64 `json:"hits"`
+	// AliasHits counts the subset of Hits served through a Fingerprint
+	// alias (GetAlias). Per shard it is counted where the reply lives.
+	AliasHits uint64 `json:"alias_hits"`
 	// Misses counts lookups that ran the compute function.
 	Misses uint64 `json:"misses"`
 	// Coalesced counts lookups that waited for an in-flight
 	// computation of the same key instead of starting their own.
 	Coalesced uint64 `json:"coalesced"`
-	// Evictions counts entries dropped to keep shards inside the byte
-	// budget.
+	// Evictions counts reply entries dropped to keep shards inside the
+	// byte budget (evicted aliases are not counted).
 	Evictions uint64 `json:"evictions"`
-	// Entries and Bytes describe the current contents; MaxBytes is the
-	// configured budget.
+	// Entries counts stored replies and Aliases the alias entries.
+	// Bytes is the budget charge of both; MaxBytes is the configured
+	// budget.
 	Entries  int   `json:"entries"`
+	Aliases  int   `json:"aliases"`
 	Bytes    int64 `json:"bytes"`
 	MaxBytes int64 `json:"max_bytes"`
 	// Shards is the per-shard breakdown, populated by StatsDetail only
@@ -200,8 +216,29 @@ func New(maxBytes int64) *Cache {
 type entry struct {
 	key        string
 	val        []byte
+	stamp      uint64 // shard clock at last use
 	next, prev *entry // LRU list: next is colder, prev is hotter
 }
+
+// cost is the entry's charge against the byte budget.
+func (e *entry) cost() int64 {
+	return int64(len(e.key)) + int64(len(e.val)) + entryOverhead
+}
+
+// aliasSlot is one alias: a fingerprint and the canonical key it points
+// to, as the Key digest's raw bytes. It holds no pointers, so the
+// garbage collector never scans the alias tier however many aliases a
+// shard holds. Aliases kept as heap entries with key strings would add
+// to every mark phase, and the daemon's tail latency would show it.
+type aliasSlot struct {
+	fp         Fingerprint
+	target     [sha256.Size]byte
+	stamp      uint64 // shard clock at last use
+	prev, next int32  // alias LRU links (next is colder); -1 ends a list
+}
+
+// aliasCost is an alias's charge against the byte budget.
+const aliasCost = 2*sha256.Size + entryOverhead
 
 type call struct {
 	done chan struct{}
@@ -217,18 +254,105 @@ type shard struct {
 	head, tail *entry
 	bytes      int64
 
-	hits, misses, coalesced, evictions uint64
+	// The aliases: slots indexed by the map, with their own LRU list
+	// (ahead hottest, atail coldest) and a free list threaded through
+	// next. Replies and aliases share one recency order through clock
+	// stamps, so eviction takes whichever tail is older.
+	aliases             map[Fingerprint]int32
+	slots               []aliasSlot
+	ahead, atail, afree int32
+	clock               uint64
+
+	hits, aliasHits, misses, coalesced, evictions uint64
 }
 
 func (s *shard) init() {
 	s.items = make(map[string]*entry)
 	s.flight = make(map[string]*call)
+	s.aliases = make(map[Fingerprint]int32)
+	s.ahead, s.atail, s.afree = -1, -1, -1
+}
+
+func (s *shard) tick() uint64 {
+	s.clock++
+	return s.clock
 }
 
 func (c *Cache) shardFor(key string) *shard {
 	h := fnv.New32a()
 	io.WriteString(h, key)
 	return &c.shards[h.Sum32()%numShards]
+}
+
+// Fingerprint is the SHA-256 of a request's exact bytes: the identity
+// of the alias tier.
+type Fingerprint [sha256.Size]byte
+
+// FingerprintOf hashes raw request bytes.
+func FingerprintOf(raw []byte) Fingerprint { return sha256.Sum256(raw) }
+
+// aliasShard picks fp's shard; a digest is already uniform, so its
+// first byte is hash enough.
+func (c *Cache) aliasShard(fp *Fingerprint) *shard {
+	return &c.shards[int(fp[0])%numShards]
+}
+
+// GetAlias serves a reply through fp's alias: the value stored under
+// the canonical key PutAlias recorded for fp. It reports false when fp
+// has no alias or the alias dangles (its reply was evicted). A served
+// value counts as one Hit and one AliasHit and refreshes both entries'
+// recency. The returned slice is shared with the cache and must not be
+// modified.
+func (c *Cache) GetAlias(fp Fingerprint) ([]byte, bool) {
+	as := c.aliasShard(&fp)
+	as.mu.Lock()
+	i, ok := as.aliases[fp]
+	if !ok {
+		as.mu.Unlock()
+		return nil, false
+	}
+	as.touchAliasLocked(i)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], as.slots[i].target[:])
+	as.mu.Unlock()
+
+	s := c.shardFor(string(key[:]))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.items[string(key[:])]
+	if !ok {
+		return nil, false
+	}
+	s.moveToFrontLocked(e)
+	s.hits++
+	s.aliasHits++
+	return e.val, true
+}
+
+// PutAlias records fp → key when key is a Key digest holding a stored
+// reply; a reply too large to store gets no alias. Re-recording fp
+// repoints its alias. Callers must only alias a key whose reply fp's
+// request would legitimately receive: GetAlias follows the alias
+// without any check.
+func (c *Cache) PutAlias(fp Fingerprint, key string) {
+	var target [sha256.Size]byte
+	if len(key) != hex.EncodedLen(len(target)) {
+		return
+	}
+	if _, err := hex.Decode(target[:], []byte(key)); err != nil {
+		return
+	}
+	s := c.shardFor(key)
+	s.mu.Lock()
+	_, ok := s.items[key]
+	s.mu.Unlock()
+	if !ok {
+		return
+	}
+	as := c.aliasShard(&fp)
+	as.mu.Lock()
+	as.insertAliasLocked(fp, target, c.maxShardBytes)
+	as.mu.Unlock()
 }
 
 // GetOrCompute returns the cached value for key, or runs fn once to
@@ -316,10 +440,12 @@ func (c *Cache) Stats() Stats {
 		s := &c.shards[i]
 		s.mu.Lock()
 		st.Hits += s.hits
+		st.AliasHits += s.aliasHits
 		st.Misses += s.misses
 		st.Coalesced += s.coalesced
 		st.Evictions += s.evictions
 		st.Entries += len(s.items)
+		st.Aliases += len(s.aliases)
 		st.Bytes += s.bytes
 		s.mu.Unlock()
 	}
@@ -337,58 +463,100 @@ func (c *Cache) StatsDetail() Stats {
 		s.mu.Lock()
 		row := ShardStats{
 			Hits:      s.hits,
+			AliasHits: s.aliasHits,
 			Misses:    s.misses,
 			Coalesced: s.coalesced,
 			Evictions: s.evictions,
 			Entries:   len(s.items),
+			Aliases:   len(s.aliases),
 			Bytes:     s.bytes,
 		}
 		s.mu.Unlock()
 		st.Shards[i] = row
 		st.Hits += row.Hits
+		st.AliasHits += row.AliasHits
 		st.Misses += row.Misses
 		st.Coalesced += row.Coalesced
 		st.Evictions += row.Evictions
 		st.Entries += row.Entries
+		st.Aliases += row.Aliases
 		st.Bytes += row.Bytes
 	}
 	return st
 }
 
-func entryCost(key string, val []byte) int64 {
-	return int64(len(key)) + int64(len(val)) + entryOverhead
-}
-
 // insertLocked stores the value and evicts from the cold end until the
 // shard fits its budget again. Oversized values are not stored at all.
 func (s *shard) insertLocked(key string, val []byte, maxBytes int64) {
-	cost := entryCost(key, val)
-	if cost > maxBytes {
+	e := &entry{key: key, val: val}
+	if e.cost() > maxBytes {
 		return
 	}
-	if e, ok := s.items[key]; ok { // racing leaders after a retry
-		s.bytes += int64(len(val)) - int64(len(e.val))
-		e.val = val
-		s.moveToFrontLocked(e)
+	if old, ok := s.items[key]; ok { // racing leaders after a retry
+		s.bytes += int64(len(val)) - int64(len(old.val))
+		old.val = val
+		s.moveToFrontLocked(old)
 	} else {
-		e = &entry{key: key, val: val}
 		s.items[key] = e
-		s.bytes += cost
+		s.bytes += e.cost()
 		s.pushFrontLocked(e)
 	}
-	for s.bytes > maxBytes && s.tail != nil {
-		s.evictLocked(s.tail)
+	s.trimLocked(maxBytes)
+}
+
+// insertAliasLocked stores or repoints fp's alias to target.
+func (s *shard) insertAliasLocked(fp Fingerprint, target [sha256.Size]byte, maxBytes int64) {
+	if i, ok := s.aliases[fp]; ok {
+		s.slots[i].target = target
+		s.touchAliasLocked(i)
+		return
+	}
+	i := s.afree
+	if i >= 0 {
+		s.afree = s.slots[i].next
+	} else {
+		i = int32(len(s.slots))
+		s.slots = append(s.slots, aliasSlot{})
+	}
+	s.slots[i] = aliasSlot{fp: fp, target: target, prev: -1, next: -1}
+	s.aliases[fp] = i
+	s.bytes += aliasCost
+	s.pushAliasLocked(i)
+	s.trimLocked(maxBytes)
+}
+
+// trimLocked evicts from the cold end until the shard fits maxBytes:
+// each step drops the least recently used reply or alias.
+func (s *shard) trimLocked(maxBytes int64) {
+	for s.bytes > maxBytes {
+		switch {
+		case s.tail != nil && (s.atail < 0 || s.tail.stamp < s.slots[s.atail].stamp):
+			s.evictLocked(s.tail)
+		case s.atail >= 0:
+			s.evictAliasLocked(s.atail)
+		default:
+			return
+		}
 	}
 }
 
 func (s *shard) evictLocked(e *entry) {
 	s.unlinkLocked(e)
 	delete(s.items, e.key)
-	s.bytes -= entryCost(e.key, e.val)
+	s.bytes -= e.cost()
 	s.evictions++
 }
 
+func (s *shard) evictAliasLocked(i int32) {
+	s.unlinkAliasLocked(i)
+	delete(s.aliases, s.slots[i].fp)
+	s.bytes -= aliasCost
+	s.slots[i].next = s.afree
+	s.afree = i
+}
+
 func (s *shard) pushFrontLocked(e *entry) {
+	e.stamp = s.tick()
 	e.prev = nil
 	e.next = s.head
 	if s.head != nil {
@@ -416,8 +584,42 @@ func (s *shard) unlinkLocked(e *entry) {
 
 func (s *shard) moveToFrontLocked(e *entry) {
 	if s.head == e {
+		e.stamp = s.tick()
 		return
 	}
 	s.unlinkLocked(e)
 	s.pushFrontLocked(e)
+}
+
+func (s *shard) pushAliasLocked(i int32) {
+	a := &s.slots[i]
+	a.stamp = s.tick()
+	a.prev, a.next = -1, s.ahead
+	if s.ahead >= 0 {
+		s.slots[s.ahead].prev = i
+	}
+	s.ahead = i
+	if s.atail < 0 {
+		s.atail = i
+	}
+}
+
+func (s *shard) unlinkAliasLocked(i int32) {
+	a := &s.slots[i]
+	if a.prev >= 0 {
+		s.slots[a.prev].next = a.next
+	} else {
+		s.ahead = a.next
+	}
+	if a.next >= 0 {
+		s.slots[a.next].prev = a.prev
+	} else {
+		s.atail = a.prev
+	}
+	a.prev, a.next = -1, -1
+}
+
+func (s *shard) touchAliasLocked(i int32) {
+	s.unlinkAliasLocked(i)
+	s.pushAliasLocked(i)
 }

@@ -291,3 +291,103 @@ func TestWaiterOwnContextCancel(t *testing.T) {
 		t.Fatalf("waiter err = %v, want canceled", err)
 	}
 }
+
+// TestAliasTier covers the fingerprint tier: an alias serves its
+// reply and counts a hit; an alias to an absent key is never recorded;
+// an alias whose reply was evicted misses; aliases share the budget.
+func TestAliasTier(t *testing.T) {
+	ctx := context.Background()
+	val := func(s string) func(context.Context) ([]byte, error) {
+		return func(context.Context) ([]byte, error) { return []byte(s), nil }
+	}
+	// Room in each shard for one 500-byte reply and its alias, not two
+	// replies.
+	c := New(numShards * 1000)
+	reply := string(make([]byte, 500))
+	k1 := Key(testGraph(), machine.NewBusedGP(2, 2, 1), "one")
+	fp := FingerprintOf([]byte(`{"request":1}`))
+
+	c.PutAlias(fp, k1) // nothing stored under k1 yet
+	if st := c.Stats(); st.Aliases != 0 || st.Bytes != 0 {
+		t.Fatalf("alias to an absent key recorded: %+v", st)
+	}
+	if _, ok := c.GetAlias(fp); ok {
+		t.Fatal("unknown fingerprint served")
+	}
+	if _, _, err := c.GetOrCompute(ctx, k1, val(reply)); err != nil {
+		t.Fatal(err)
+	}
+	c.PutAlias(fp, k1)
+	got, ok := c.GetAlias(fp)
+	if !ok || string(got) != reply {
+		t.Fatalf("alias lookup = %v, want the stored reply", ok)
+	}
+	st := c.Stats()
+	wantBytes := int64(len(k1)+len(reply)+entryOverhead) + aliasCost
+	if st.Hits != 1 || st.AliasHits != 1 || st.Entries != 1 || st.Aliases != 1 || st.Bytes != wantBytes {
+		t.Fatalf("stats = %+v, want 1 hit (alias), 1 entry, 1 alias, %d bytes", st, wantBytes)
+	}
+
+	// Evict k1 with a second reply in its shard: the alias dangles.
+	var k2 string
+	for i := 0; k2 == ""; i++ {
+		if k := Key(testGraph(), machine.NewBusedGP(2, 2, 1), fmt.Sprint(i)); c.shardFor(k) == c.shardFor(k1) {
+			k2 = k
+		}
+	}
+	if _, _, err := c.GetOrCompute(ctx, k2, val(reply)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(k1); ok {
+		t.Fatal("k1 survived; the shard budget is off")
+	}
+	if got, ok := c.GetAlias(fp); ok {
+		t.Fatalf("dangling alias served %q", got)
+	}
+	// Repointing it at a live key serves that key's reply; a key that
+	// is not a Key digest is never aliased.
+	c.PutAlias(FingerprintOf([]byte("other")), "not-a-digest")
+	c.PutAlias(fp, k2)
+	if got, ok := c.GetAlias(fp); !ok || string(got) != reply {
+		t.Fatal("repointed alias does not serve its new reply")
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Aliases > 1 {
+		t.Errorf("stats = %+v, want 1 eviction and at most 1 alias", st)
+	}
+}
+
+// TestAliasSharesRecencyOrder: a shard evicts whichever of its replies
+// and aliases was used least recently.
+func TestAliasSharesRecencyOrder(t *testing.T) {
+	ctx := context.Background()
+	val := make([]byte, 100)
+	key := Key(testGraph(), machine.NewBusedGP(2, 2, 1))
+	replyCost := int64(len(key)+len(val)) + entryOverhead
+	for _, touchReply := range []bool{false, true} {
+		// Room for the reply and one alias.
+		c := New(numShards * (replyCost + aliasCost))
+		var fps []Fingerprint
+		for i := 0; len(fps) < 2; i++ {
+			if fp := FingerprintOf([]byte(fmt.Sprint(i))); c.aliasShard(&fp) == c.shardFor(key) {
+				fps = append(fps, fp)
+			}
+		}
+		if _, _, err := c.GetOrCompute(ctx, key, func(context.Context) ([]byte, error) { return val, nil }); err != nil {
+			t.Fatal(err)
+		}
+		c.PutAlias(fps[0], key)
+		if touchReply {
+			c.Get(key) // now the alias is the older of the two
+		}
+		c.PutAlias(fps[1], key) // over budget: one of the two goes
+		_, replyKept := c.Get(key)
+		_, firstKept := c.GetAlias(fps[0])
+		if replyKept != touchReply || (touchReply && firstKept) {
+			t.Errorf("touchReply=%v: reply kept %v, first alias served %v; want the least recently used one evicted",
+				touchReply, replyKept, firstKept)
+		}
+		if st := c.Stats(); st.Bytes > numShards*(replyCost+aliasCost) {
+			t.Errorf("touchReply=%v: %d bytes over budget", touchReply, st.Bytes)
+		}
+	}
+}

@@ -53,9 +53,19 @@ func ReadLax(r io.Reader) ([]NamedGraph, error) {
 	return read(r, false)
 }
 
+// maxLine caps one line of the text format.
+const maxLine = 16 * 1024 * 1024
+
 func read(r io.Reader, validate bool) ([]NamedGraph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	// The line buffer starts no larger than the input when its length
+	// is known (strings.Reader, bytes.Reader) and doubles only as long
+	// lines demand, so a short loop never pays for the cap.
+	size := 4096
+	if l, ok := r.(interface{ Len() int }); ok && l.Len() < size {
+		size = l.Len() + 1 // room for the read that sees EOF
+	}
+	sc.Buffer(make([]byte, 0, size), maxLine)
 	var (
 		out  []NamedGraph
 		cur  *NamedGraph

@@ -3,6 +3,7 @@ package ddgio
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -138,5 +139,55 @@ func TestNodeNameWithSpaces(t *testing.T) {
 	}
 	if got := loops[0].Graph.Nodes[0].Name; got != "the first element" {
 		t.Errorf("name = %q", got)
+	}
+}
+
+// TestReadAllocatesInProportion pins the parse path's memory: reading
+// one loop of the paper's suite (seed 1) allocates on the order of the
+// loop, not a fixed line buffer sized for the 16 MiB line cap.
+func TestReadAllocatesInProportion(t *testing.T) {
+	suite := loopgen.Suite(loopgen.Options{Seed: 1})
+	texts := make([]string, len(suite))
+	for i, g := range suite {
+		var b strings.Builder
+		if err := Write(&b, "loop", g); err != nil {
+			t.Fatal(err)
+		}
+		texts[i] = b.String()
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, text := range texts {
+		if _, err := Read(strings.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	mean := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(texts))
+	t.Logf("mean %.0f bytes allocated per Read over %d loops", mean, len(texts))
+	if mean > 16<<10 {
+		t.Errorf("Read allocates %.0f bytes per suite loop, want <= 16 KiB", mean)
+	}
+}
+
+// BenchmarkReadSuiteLoop parses one loop of the paper's suite per
+// iteration, cycling through the suite.
+func BenchmarkReadSuiteLoop(b *testing.B) {
+	suite := loopgen.Suite(loopgen.Options{Seed: 1})
+	texts := make([]string, len(suite))
+	for i, g := range suite {
+		var sb strings.Builder
+		if err := Write(&sb, "loop", g); err != nil {
+			b.Fatal(err)
+		}
+		texts[i] = sb.String()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Read(strings.NewReader(texts[i%len(texts)])); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

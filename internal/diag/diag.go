@@ -12,6 +12,7 @@
 //	MACHnnn   machine-configuration validation
 //	LOOPnnn   loop-language (frontend AST) lint
 //	SCHEDnnn  schedule audit (package verify)
+//	SRVnnn    scheduling service (package server)
 //	VETnnn    static determinism/allocation checks (package schedvet)
 //	CLInnn    command-line usage (flag-combination conflicts)
 //

@@ -57,7 +57,9 @@ type ScheduleResponse struct {
 	// Stats are the search-effort counters of the producing run.
 	Stats obs.Stats `json:"stats"`
 	// Diagnostics is the full schedule audit (verify.Audit via
-	// Result.Audit); empty for a valid schedule.
+	// Result.Audit); empty for a valid schedule. The daemon only ever
+	// replies with it empty: a schedule with findings is answered with
+	// a CodeAuditFailed error instead.
 	Diagnostics []diag.Diagnostic `json:"diagnostics"`
 }
 
@@ -181,10 +183,13 @@ type LintResponse struct {
 // over every pipeline run the daemon executed (cache hits add
 // nothing — no pipeline ran).
 type StatsResponse struct {
-	UptimeSeconds float64     `json:"uptime_seconds"`
-	Requests      int64       `json:"requests"`
-	Scheduled     int64       `json:"scheduled"`
-	Rejected      int64       `json:"rejected"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	Requests      int64   `json:"requests"`
+	Scheduled     int64   `json:"scheduled"`
+	Rejected      int64   `json:"rejected"`
+	// AuditFailures counts finished schedules whose audit returned
+	// findings: answered with a CodeAuditFailed error, never cached.
+	AuditFailures int64       `json:"audit_failures"`
 	Inflight      int         `json:"inflight"`
 	Cache         cache.Stats `json:"cache"`
 	Sched         obs.Stats   `json:"sched"`

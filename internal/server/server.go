@@ -17,14 +17,18 @@
 // the cache stores the encoded response body, and the X-Cache response
 // header says whether a request was a miss (this request ran the
 // pipeline), a hit (served from the store), or coalesced (shared the
-// result of a concurrent identical request).
+// result of a concurrent identical request). /v1/schedule looks a
+// request up twice: first by the fingerprint of its exact body bytes,
+// which skips decoding and parsing, then by the canonical content key.
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -54,6 +58,24 @@ const maxBodyBytes = 16 << 20
 // The client never sees it — the connection is gone — but it keeps the
 // handler's accounting honest.
 const StatusClientClosedRequest = 499
+
+// CodeAuditFailed marks a schedule that failed its own audit: the
+// daemon answers 500 and caches nothing rather than serve, and later
+// replay, a wrong answer.
+const CodeAuditFailed = "SRV001"
+
+// auditError is the error of a finished schedule whose audit returned
+// findings. It unwraps to the *diag.List of those findings, so the
+// error reply carries them.
+type auditError struct {
+	diags []diag.Diagnostic
+}
+
+func (e *auditError) Error() string {
+	return CodeAuditFailed + ": schedule failed its audit: " + e.Unwrap().Error()
+}
+
+func (e *auditError) Unwrap() error { return &diag.List{Diags: e.diags} }
 
 // Config tunes a Server. The zero value is usable: default cache
 // budget, no per-request timeout, GOMAXPROCS-derived concurrency.
@@ -86,9 +108,14 @@ type Server struct {
 	sem   chan struct{}
 	start time.Time
 
-	requests  atomic.Int64
-	scheduled atomic.Int64
-	rejected  atomic.Int64
+	requests      atomic.Int64
+	scheduled     atomic.Int64
+	rejected      atomic.Int64
+	auditFailures atomic.Int64
+
+	// scheduleOne is /v1/schedule's pipeline entry point
+	// (clustersched.ScheduleContext); tests substitute it.
+	scheduleOne func(ctx context.Context, g *clustersched.Graph, m *clustersched.Machine, options ...clustersched.Option) (*clustersched.Result, error)
 
 	mu    sync.Mutex
 	sched obs.Stats
@@ -105,6 +132,8 @@ func New(cfg Config) *Server {
 		mux:   http.NewServeMux(),
 		sem:   make(chan struct{}, cfg.MaxInflight),
 		start: time.Now(),
+
+		scheduleOne: clustersched.ScheduleContext,
 	}
 	s.mux.HandleFunc(apiPrefix+"/schedule", s.handleSchedule)
 	s.mux.HandleFunc(apiPrefix+"/batch", s.handleBatch)
@@ -173,10 +202,14 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 // scheduleErrorStatus maps a failed schedule to its HTTP status:
 // cancellation from the client connection, deadline from the
-// per-request timeout, anything else is an unprocessable input (lint
-// findings, II search exhausted).
+// per-request timeout, a failed audit is the daemon's own fault, and
+// anything else is an unprocessable input (lint findings, II search
+// exhausted).
 func scheduleErrorStatus(err error) int {
+	var audit *auditError
 	switch {
+	case errors.As(err, &audit):
+		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -186,15 +219,41 @@ func scheduleErrorStatus(err error) int {
 	}
 }
 
+// decodeBody reads and decodes a request body.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	raw, err := readBody(w, r)
+	return decodeRaw(raw, err, v)
+}
+
+// readBody reads the size-capped request body whole. When the read
+// fails (an oversized body, a broken connection) it returns the bytes
+// read so far with the error.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+}
+
+// decodeRaw decodes a body readBody returned exactly as a decoder
+// reading the capped stream would: readErr, the error that cut the
+// read short, is raised only once the bytes before it are used up, so
+// a value that ends before the cap still decodes and a syntax error
+// before it is still the reported one.
+func decodeRaw(raw []byte, readErr error, v any) error {
+	var src io.Reader = bytes.NewReader(raw)
+	if readErr != nil {
+		src = io.MultiReader(src, errReader{readErr})
+	}
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
 	return nil
 }
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // scheduleJob is one resolved schedule request: the loop, the machine,
 // the facade options, and the cache identity.
@@ -357,7 +416,8 @@ type scheduleFunc func(ctx context.Context, g *clustersched.Graph) (*clustersche
 
 // runJob serves one job through the cache: on a miss it runs the full
 // pipeline under ctx (so a dead client connection aborts the II
-// search), audits the schedule, and stores the encoded response.
+// search), audits the schedule, and stores the encoded response. A
+// schedule with audit findings is an *auditError and never stored.
 func (s *Server) runJob(ctx context.Context, job scheduleJob, schedule scheduleFunc) ([]byte, cache.Source, error) {
 	return s.cache.GetOrCompute(ctx, job.key, func(ctx context.Context) ([]byte, error) {
 		res, err := schedule(ctx, job.graph)
@@ -366,7 +426,12 @@ func (s *Server) runJob(ctx context.Context, job scheduleJob, schedule scheduleF
 		}
 		s.scheduled.Add(1)
 		s.addSchedStats(res.Stats())
-		return json.Marshal(ResponseFor(job.name, job.machineSpec, res))
+		resp := ResponseFor(job.name, job.machineSpec, res)
+		if len(resp.Diagnostics) > 0 {
+			s.auditFailures.Add(1)
+			return nil, &auditError{diags: resp.Diagnostics}
+		}
+		return json.Marshal(resp)
 	})
 }
 
@@ -415,8 +480,21 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
+	// The fingerprint tier: a byte-identical repeat of a body that was
+	// answered before is served without decoding or parsing it. Only a
+	// body read whole is fingerprinted.
+	raw, readErr := readBody(w, r)
+	var fp cache.Fingerprint
+	if readErr == nil {
+		fp = cache.FingerprintOf(raw)
+		if body, ok := s.cache.GetAlias(fp); ok {
+			writeCached(w, cache.Hit, body)
+			return
+		}
+	}
+
 	var req ScheduleRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := decodeRaw(raw, readErr, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -437,12 +515,22 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	job := s.buildJob(req.Name, req.Machine, loops[0], m, opts, optID)
 	body, src, err := s.runJob(r.Context(), job, func(ctx context.Context, g *clustersched.Graph) (*clustersched.Result, error) {
-		return clustersched.ScheduleContext(ctx, g, job.machine, job.options...)
+		return s.scheduleOne(ctx, g, job.machine, job.options...)
 	})
 	if err != nil {
 		writeError(w, scheduleErrorStatus(err), err)
 		return
 	}
+	// runJob returns only audited replies, so the alias can be
+	// followed later without checking what it points at.
+	if readErr == nil {
+		s.cache.PutAlias(fp, job.key)
+	}
+	writeCached(w, src, body)
+}
+
+// writeCached sends a schedule reply body with its X-Cache state.
+func writeCached(w http.ResponseWriter, src cache.Source, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", src.String())
 	w.WriteHeader(http.StatusOK)
@@ -706,6 +794,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Requests:      s.requests.Load(),
 		Scheduled:     s.scheduled.Load(),
 		Rejected:      s.rejected.Load(),
+		AuditFailures: s.auditFailures.Load(),
 		Inflight:      len(s.sem),
 		Cache:         s.cache.StatsDetail(),
 		Sched:         s.schedSnapshot(),

@@ -599,6 +599,7 @@ func benchSchedule(b *testing.B, c *client.Client, req server.ScheduleRequest) {
 func BenchmarkServerCold(b *testing.B) {
 	c, _ := newTestServer(b, server.Config{CacheBytes: 1 << 30})
 	ddg := bigLoopDDG(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSchedule(b, c, server.ScheduleRequest{
@@ -615,6 +616,7 @@ func BenchmarkServerCached(b *testing.B) {
 	c, _ := newTestServer(b, server.Config{})
 	req := server.ScheduleRequest{DDG: bigLoopDDG(b), Machine: "gp:2:2:1", Name: "big"}
 	benchSchedule(b, c, req) // prime
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSchedule(b, c, req)

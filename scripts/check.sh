@@ -36,5 +36,10 @@ go run ./cmd/clusterbench -baseline -count 60 -benchreps 2 -basetol 5.0
 # requires every reply to complete byte-identical to a single-node
 # oracle with the survivors' caches still warm.
 go test -run TestFleetKillWorkerEndToEnd -count=1 ./internal/fleettest/
+# The seeded benchmark is a nested module (bench/go.mod) that imports
+# internal/cache, internal/server, and internal/ddgio; the root
+# build and test above do not reach it.
+go -C bench vet ./...
+go -C bench test ./...
 sh scripts/lint.sh
 echo "check: OK"
