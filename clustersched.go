@@ -378,7 +378,11 @@ func resultFromOutcome(m *Machine, out *pipeline.Outcome) *Result {
 //
 // A Session may be used by one goroutine at a time; for loop-level
 // parallelism give each worker its own (see pipeline.RunBatch for the
-// internal sharded form).
+// internal sharded form). A long-running caller such as a daemon
+// should not build one per call: keep a free list of Sessions per
+// (machine, options) and return each after use, also after a Schedule
+// that was canceled or timed out, which leaves the Session as good as
+// new.
 type Session struct {
 	m *Machine
 	s *pipeline.Session

@@ -8,6 +8,7 @@ package emit
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"clustersched/internal/ddg"
@@ -32,42 +33,119 @@ func clusterOf(in sched.Input, n int) int {
 
 // Kernel renders the steady-state kernel: one row per modulo slot,
 // one column per cluster, each operation tagged with its stage (the
-// iteration offset it executes for).
+// iteration offset it executes for). Operations issue in start-cycle
+// order; a counting sort then buckets them into (slot, cluster) cells
+// without disturbing that order, and the text is appended into one
+// pre-sized buffer.
 func Kernel(in sched.Input, s *sched.Schedule) string {
 	g := in.Graph
-	rows := make([][][]string, s.II) // [slot][cluster][]labels
-	for i := range rows {
-		rows[i] = make([][]string, in.Machine.NumClusters())
-	}
-	order := make([]int, g.NumNodes())
+	n := g.NumNodes()
+	nc := in.Machine.NumClusters()
+	cells := s.II * nc
+	// One backing array: the issue order, the same nodes bucketed by
+	// cell, and the counting sort's cell boundaries.
+	ints := make([]int, 2*n+cells+1)
+	order, bucketed, end := ints[:n], ints[n:2*n], ints[2*n:]
 	for i := range order {
 		order[i] = i
 	}
+	// sort.Slice is not stable: the tie order among equal cycles is
+	// part of the output, so this call must not change.
 	sort.Slice(order, func(a, b int) bool { return s.CycleOf[order[a]] < s.CycleOf[order[b]] })
-	for _, n := range order {
-		slot := ((s.CycleOf[n] % s.II) + s.II) % s.II
-		stage := s.CycleOf[n] / s.II
-		cl := clusterOf(in, n)
-		label := fmt.Sprintf("%s[s%d]", opLabel(g, n), stage)
-		if g.Nodes[n].Kind == ddg.OpCopy && in.CopyTargets != nil {
-			label += fmt.Sprintf("->%v", in.CopyTargets[n])
+
+	cellOf := func(v int) int {
+		slot := ((s.CycleOf[v] % s.II) + s.II) % s.II
+		return slot*nc + clusterOf(in, v)
+	}
+	size := 48 + s.II*8 + cells*8
+	for _, v := range order {
+		end[cellOf(v)+1]++
+		node := g.Nodes[v]
+		size += len(node.Name) + 32
+		if node.Kind == ddg.OpCopy && in.CopyTargets != nil {
+			size += 4 + 4*len(in.CopyTargets[v])
 		}
-		rows[slot][cl] = append(rows[slot][cl], label)
+	}
+	for c := 1; c <= cells; c++ {
+		end[c] += end[c-1]
+	}
+	// Placing a node advances its cell's start, so afterwards end[c]
+	// is where cell c ends and end[c-1] where it begins.
+	for _, v := range order {
+		c := cellOf(v)
+		bucketed[end[c]] = v
+		end[c]++
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "kernel: II=%d, stages=%d\n", s.II, s.StageCount())
+	b.Grow(size)
+	b.WriteString("kernel: II=")
+	writeInt(&b, s.II)
+	b.WriteString(", stages=")
+	writeInt(&b, s.StageCount())
+	b.WriteByte('\n')
+	begin := 0
 	for slot := 0; slot < s.II; slot++ {
-		fmt.Fprintf(&b, "  %2d:", slot)
-		for cl, ops := range rows[slot] {
+		b.WriteString("  ")
+		if slot < 10 {
+			b.WriteByte(' ')
+		}
+		writeInt(&b, slot)
+		b.WriteByte(':')
+		for cl := 0; cl < nc; cl++ {
+			c := slot*nc + cl
+			ops := bucketed[begin:end[c]]
+			begin = end[c]
 			if len(ops) == 0 {
 				continue
 			}
-			fmt.Fprintf(&b, "  c%d{%s}", cl, strings.Join(ops, " "))
+			b.WriteString("  c")
+			writeInt(&b, cl)
+			b.WriteByte('{')
+			for i, v := range ops {
+				if i > 0 {
+					b.WriteByte(' ')
+				}
+				writeKernelOp(&b, in, s, v)
+			}
+			b.WriteByte('}')
 		}
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// writeKernelOp appends one kernel entry: the op label, its stage, and
+// for a copy the clusters it delivers to, as "kind:name[sN]->[a b]".
+func writeKernelOp(b *strings.Builder, in sched.Input, s *sched.Schedule, v int) {
+	node := in.Graph.Nodes[v]
+	b.WriteString(node.Kind.String())
+	b.WriteByte(':')
+	if node.Name != "" {
+		b.WriteString(node.Name)
+	} else {
+		b.WriteByte('n')
+		writeInt(b, v)
+	}
+	b.WriteString("[s")
+	writeInt(b, s.CycleOf[v]/s.II)
+	b.WriteByte(']')
+	if node.Kind == ddg.OpCopy && in.CopyTargets != nil {
+		b.WriteString("->[")
+		for i, t := range in.CopyTargets[v] {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			writeInt(b, t)
+		}
+		b.WriteByte(']')
+	}
+}
+
+// writeInt appends v in decimal.
+func writeInt(b *strings.Builder, v int) {
+	var tmp [20]byte
+	b.Write(strconv.AppendInt(tmp[:0], int64(v), 10))
 }
 
 // Pipelined renders prologue, kernel, and epilogue. The prologue rows

@@ -151,9 +151,12 @@ func Run(g *ddg.Graph, m *machine.Config, opts Options) (*Outcome, error) {
 // node placements inside assignment backtracking, and between
 // placements inside the modulo schedulers.
 //
-// RunContext is the one-shot form of Session.Schedule; callers
-// scheduling many loops on one machine should build a Session (or use
-// RunBatch) so the per-machine precomputation is paid once.
+// RunContext is the one-shot form of Session.Schedule: it builds a
+// Session, uses it once and drops it. Callers scheduling many loops on
+// one machine, in one batch or across the requests of a long-running
+// service, should keep Sessions and reuse them (or use RunBatch) so
+// the per-machine precomputation is paid once. A Session stays reusable
+// after a Schedule that was canceled or timed out.
 func RunContext(ctx context.Context, g *ddg.Graph, m *machine.Config, opts Options) (*Outcome, error) {
 	return NewSession(m, opts).Schedule(ctx, g)
 }

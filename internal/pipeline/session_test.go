@@ -2,12 +2,16 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"clustersched/internal/assign"
+	"clustersched/internal/ddg"
 	"clustersched/internal/loopgen"
 	"clustersched/internal/machine"
 	"clustersched/internal/obs"
@@ -224,6 +228,128 @@ func TestSessionReuseMatchesFreshSessions(t *testing.T) {
 		if err := diffOutcomes(first, ref); err != nil {
 			t.Errorf("loop %d: reused vs fresh session: %v", i, err)
 		}
+	}
+}
+
+// tripwire is an Observer that, once armed with n, runs fire on the
+// n-th event it sees and disarms. Disarmed it only counts events, and
+// notes how many it had seen when the search left its first candidate.
+type tripwire struct {
+	mu         sync.Mutex
+	seen       int
+	candidates int
+	escalated  int
+	left       int
+	onFire     func()
+}
+
+func (w *tripwire) Event(e obs.Event) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.seen++
+	if e.Kind == obs.KindIICandidate {
+		if w.candidates++; w.candidates == 2 {
+			w.escalated = w.seen
+		}
+	}
+	if w.left > 0 {
+		if w.left--; w.left == 0 {
+			w.onFire()
+		}
+	}
+}
+
+func (w *tripwire) arm(n int, fire func()) {
+	w.mu.Lock()
+	w.left, w.onFire = n, fire
+	w.mu.Unlock()
+}
+
+// counts returns the events seen and the count at escalation, and
+// starts counting afresh.
+func (w *tripwire) counts() (seen, escalated int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	seen, escalated = w.seen, w.escalated
+	w.seen, w.candidates, w.escalated = 0, 0, 0
+	return seen, escalated
+}
+
+// TestSessionReuseAfterCancel: a Schedule cut short mid-search, by a
+// canceled context or by an expired Options.Timeout, leaves its pooled
+// problems and scratch buffers mid-run. The same Session must still
+// schedule every later loop exactly like a fresh Session, which is
+// what lets a long-running caller return the sessions of abandoned
+// requests to its free list.
+func TestSessionReuseAfterCancel(t *testing.T) {
+	m := machine.NewGrid4(2)
+	loops := loopgen.Suite(loopgen.Options{Seed: 12, Count: 40})
+	// The victim is a loop whose search escalates past its MII; the
+	// cut lands halfway through the escalated probes, where the
+	// session holds a warm seed and pooled problems mid-run.
+	var victim *ddg.Graph
+	probe := NewSession(m, Options{Assign: assign.Options{Variant: assign.HeuristicIterative}})
+	for _, g := range loops {
+		if out, err := probe.Schedule(context.Background(), g); err == nil && out.II > out.MII {
+			victim = g
+			break
+		}
+	}
+	if victim == nil {
+		t.Fatal("no suite loop escalated past its MII on grid-4c-2p")
+	}
+
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		want    error
+	}{
+		{"cancel", 0, context.Canceled},
+		{"timeout", 250 * time.Millisecond, context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := &tripwire{}
+			opts := Options{
+				Assign:       assign.Options{Variant: assign.HeuristicIterative},
+				CollectStats: true,
+				MaxIISlack:   16,
+				Observer:     w,
+				Timeout:      tc.timeout,
+			}
+			s := NewSession(m, opts)
+			if _, err := s.Schedule(context.Background(), victim); err != nil {
+				t.Fatalf("uncut victim: %v", err)
+			}
+			events, escalated := w.counts()
+			if escalated == 0 {
+				t.Fatal("uncut victim never escalated")
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			fire := cancel
+			if tc.timeout > 0 {
+				fire = func() { time.Sleep(tc.timeout + 50*time.Millisecond) }
+			}
+			w.arm((escalated+events)/2, fire)
+			if _, err := s.Schedule(ctx, victim); !errors.Is(err, tc.want) {
+				t.Fatalf("cut run returned %v, want %v", err, tc.want)
+			}
+
+			for i, g := range append([]*ddg.Graph{victim}, loops...) {
+				got, gerr := s.Schedule(context.Background(), g)
+				ref, rerr := NewSession(m, opts).Schedule(context.Background(), g)
+				if (gerr == nil) != (rerr == nil) {
+					t.Fatalf("loop %d: reused err %v, fresh err %v", i, gerr, rerr)
+				}
+				if gerr != nil {
+					continue
+				}
+				if err := diffOutcomes(got, ref); err != nil {
+					t.Errorf("loop %d: session reused after %s vs fresh: %v", i, tc.name, err)
+				}
+			}
+		})
 	}
 }
 

@@ -189,10 +189,21 @@ type StatsResponse struct {
 	Rejected      int64   `json:"rejected"`
 	// AuditFailures counts finished schedules whose audit returned
 	// findings: answered with a CodeAuditFailed error, never cached.
-	AuditFailures int64       `json:"audit_failures"`
-	Inflight      int         `json:"inflight"`
-	Cache         cache.Stats `json:"cache"`
-	Sched         obs.Stats   `json:"sched"`
+	AuditFailures int64        `json:"audit_failures"`
+	Inflight      int          `json:"inflight"`
+	Cache         cache.Stats  `json:"cache"`
+	Sessions      SessionStats `json:"sessions"`
+	Sched         obs.Stats    `json:"sched"`
+}
+
+// SessionStats counts where the scheduling sessions of cache misses
+// came from: Reused drawn warm from the daemon's session registry,
+// Built made for a registered (machine, options) key whose free list
+// was empty, Unpooled made and dropped because the registry was full.
+type SessionStats struct {
+	Reused   int64 `json:"reused"`
+	Built    int64 `json:"built"`
+	Unpooled int64 `json:"unpooled"`
 }
 
 // FleetzResponse is the /fleetz heartbeat snapshot a clusterlb

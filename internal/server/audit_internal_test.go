@@ -11,10 +11,11 @@ import (
 	"clustersched"
 )
 
-// tamperedSchedule runs the real pipeline, then breaks the schedule it
-// returns: every operation in cycle 0 violates the loop's dependences.
-func tamperedSchedule(ctx context.Context, g *clustersched.Graph, m *clustersched.Machine, options ...clustersched.Option) (*clustersched.Result, error) {
-	res, err := clustersched.ScheduleContext(ctx, g, m, options...)
+// tamperedSchedule runs the real pipeline on the drawn session, then
+// breaks the schedule it returns: every operation in cycle 0 violates
+// the loop's dependences.
+func tamperedSchedule(ctx context.Context, sess *clustersched.Session, g *clustersched.Graph) (*clustersched.Result, error) {
+	res, err := sessionSchedule(ctx, sess, g)
 	if err != nil {
 		return nil, err
 	}
@@ -73,5 +74,9 @@ func TestAuditFailureIsNeverCached(t *testing.T) {
 	}
 	if st.Cache.Entries != 0 || st.Cache.Aliases != 0 || st.Cache.Hits != 0 {
 		t.Errorf("cache after two failed audits: %+v, want nothing stored or served", st.Cache)
+	}
+	// Both misses ran on the registry's session for the request's key.
+	if want := (SessionStats{Built: 1, Reused: 1}); st.Sessions != want {
+		t.Errorf("statsz sessions %+v, want %+v", st.Sessions, want)
 	}
 }

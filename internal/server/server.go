@@ -113,9 +113,13 @@ type Server struct {
 	rejected      atomic.Int64
 	auditFailures atomic.Int64
 
-	// scheduleOne is /v1/schedule's pipeline entry point
-	// (clustersched.ScheduleContext); tests substitute it.
-	scheduleOne func(ctx context.Context, g *clustersched.Graph, m *clustersched.Machine, options ...clustersched.Option) (*clustersched.Result, error)
+	// sessions holds the warm scheduling sessions every miss draws
+	// from.
+	sessions *sessionRegistry
+
+	// scheduleOne runs one missed loop on a session drawn from
+	// sessions (sessionSchedule); tests substitute it.
+	scheduleOne func(ctx context.Context, sess *clustersched.Session, g *clustersched.Graph) (*clustersched.Result, error)
 
 	mu    sync.Mutex
 	sched obs.Stats
@@ -133,7 +137,8 @@ func New(cfg Config) *Server {
 		sem:   make(chan struct{}, cfg.MaxInflight),
 		start: time.Now(),
 
-		scheduleOne: clustersched.ScheduleContext,
+		sessions:    newSessionRegistry(),
+		scheduleOne: sessionSchedule,
 	}
 	s.mux.HandleFunc(apiPrefix+"/schedule", s.handleSchedule)
 	s.mux.HandleFunc(apiPrefix+"/batch", s.handleBatch)
@@ -263,6 +268,7 @@ type scheduleJob struct {
 	graph       *clustersched.Graph
 	machine     *clustersched.Machine
 	options     []clustersched.Option
+	optID       []string
 	key         string
 }
 
@@ -381,6 +387,7 @@ func (s *Server) buildJob(name, machineSpec string, loop ddgio.NamedGraph, m *cl
 		graph:       loop.Graph,
 		machine:     m,
 		options:     opts,
+		optID:       optID,
 		key:         cache.Key(loop.Graph, m, id...),
 	}
 }
@@ -408,19 +415,17 @@ func ResponseFor(name, machineSpec string, res *clustersched.Result) ScheduleRes
 	}
 }
 
-// scheduleFunc runs one loop through the pipeline. The single-shot
-// handler uses the facade directly; the batch handler substitutes a
-// session free-list so per-machine precomputation is shared across the
-// request's loops.
-type scheduleFunc func(ctx context.Context, g *clustersched.Graph) (*clustersched.Result, error)
-
 // runJob serves one job through the cache: on a miss it runs the full
 // pipeline under ctx (so a dead client connection aborts the II
-// search), audits the schedule, and stores the encoded response. A
-// schedule with audit findings is an *auditError and never stored.
-func (s *Server) runJob(ctx context.Context, job scheduleJob, schedule scheduleFunc) ([]byte, cache.Source, error) {
+// search) on a warm session of the job's machine and options, audits
+// the schedule, and stores the encoded response. A schedule with audit
+// findings is an *auditError and never stored.
+func (s *Server) runJob(ctx context.Context, job scheduleJob) ([]byte, cache.Source, error) {
 	return s.cache.GetOrCompute(ctx, job.key, func(ctx context.Context) ([]byte, error) {
-		res, err := schedule(ctx, job.graph)
+		sessions := s.sessions.pool(job.machineSpec, job.machine, job.options, job.optID)
+		sess := sessions.get()
+		res, err := s.scheduleOne(ctx, sess, job.graph)
+		sessions.put(sess)
 		if err != nil {
 			return nil, err
 		}
@@ -433,37 +438,6 @@ func (s *Server) runJob(ctx context.Context, job scheduleJob, schedule scheduleF
 		}
 		return json.Marshal(resp)
 	})
-}
-
-// sessionPool is a bounded free list of facade sessions for one batch
-// request's (machine, options) pair: at most `workers` sessions exist,
-// each used by one goroutine at a time.
-type sessionPool struct {
-	m       *clustersched.Machine
-	options []clustersched.Option
-	free    chan *clustersched.Session
-}
-
-func newSessionPool(m *clustersched.Machine, options []clustersched.Option, workers int) *sessionPool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &sessionPool{m: m, options: options, free: make(chan *clustersched.Session, workers)}
-}
-
-func (p *sessionPool) schedule(ctx context.Context, g *clustersched.Graph) (*clustersched.Result, error) {
-	var sess *clustersched.Session
-	select {
-	case sess = <-p.free:
-	default:
-		sess = clustersched.NewSession(p.m, p.options...)
-	}
-	res, err := sess.Schedule(ctx, g)
-	select {
-	case p.free <- sess:
-	default:
-	}
-	return res, err
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
@@ -514,9 +488,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job := s.buildJob(req.Name, req.Machine, loops[0], m, opts, optID)
-	body, src, err := s.runJob(r.Context(), job, func(ctx context.Context, g *clustersched.Graph) (*clustersched.Result, error) {
-		return s.scheduleOne(ctx, g, job.machine, job.options...)
-	})
+	body, src, err := s.runJob(r.Context(), job)
 	if err != nil {
 		writeError(w, scheduleErrorStatus(err), err)
 		return
@@ -570,11 +542,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	items := make([]BatchItem, len(loops))
 	var hits atomic.Int64
 	ctx := r.Context()
-	sessions := newSessionPool(m, opts, s.cfg.Workers)
 	perr := pool.ForEach(ctx, len(loops), s.cfg.Workers, func(i int) {
 		job := s.buildJob("", req.Machine, loops[i], m, opts, optID)
 		items[i].Name = job.name
-		body, src, err := s.runJob(ctx, job, sessions.schedule)
+		body, src, err := s.runJob(ctx, job)
 		if err != nil {
 			items[i].Error = err.Error()
 			return
@@ -797,6 +768,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		AuditFailures: s.auditFailures.Load(),
 		Inflight:      len(s.sem),
 		Cache:         s.cache.StatsDetail(),
+		Sessions:      s.sessions.stats(),
 		Sched:         s.schedSnapshot(),
 	})
 }

@@ -21,11 +21,13 @@ go test -race ./internal/pool/ ./internal/obs/ ./internal/experiments/ ./interna
 # naive non-pipelined loop (sim cross-validation plus the Livermore
 # value-differential, across two machine configs).
 go test -run 'TestCorpusSchedulesAndSimValidates|TestLivermoreValueDifferential' -count=1 ./internal/compile/
-# Short benchmark smoke pass: the assignment benchmarks and the
-# session/batch benchmarks must still run (allocation regressions fail
+# Short benchmark smoke pass: the assignment benchmarks, the
+# session/batch benchmarks and the kernel emitter's benchmark must
+# still run (allocation regressions fail
 # in the test pass above; this catches benchmarks broken by API drift).
 go test -run xxx -bench . -benchtime 2x ./internal/assign/
 go test -run xxx -bench 'BenchmarkRunBatch|BenchmarkSessionSchedule' -benchtime 1x ./internal/pipeline/
+go test -run xxx -bench BenchmarkKernel -benchtime 1x ./internal/emit/
 # Baseline-gate smoke: exercises the bench.sh -baseline plumbing (fresh
 # runs parsed and diffed against the committed BENCH JSONs) on a short
 # suite. The loose tolerance keeps a time-shared host from flaking the
