@@ -8,12 +8,13 @@
 //
 //	frontend → lint → schedule → stagesched → regalloc → emit → validate
 //
-// (frontend runs in the caller — see Source — and the stagesched and
-// validate stages no-op unless enabled by Options). Loops flow
-// through the stages as independent items over pool.RunStages:
-// bounded per-stage worker pools, a bounded queue between adjacent
-// stages (backpressure — a slow scheduler stalls lint, not memory),
-// and loop 3 can be in regalloc while loop 7 is still in assignment.
+// (the frontend runs ahead of the graph, behind a barrier — see
+// Source — and the stagesched and validate stages no-op unless enabled
+// by Options). Loops flow through the stages as independent items over
+// pool.RunStages: bounded per-stage worker pools, a bounded queue
+// between adjacent stages (backpressure — a slow scheduler stalls
+// lint, not memory), and loop 3 can be in regalloc while loop 7 is
+// still in assignment.
 // The schedule stage carries the worker budget; the light stages run
 // narrow. Results are assembled in input order regardless of
 // completion order, so Options.Emit observes exactly the sequence a
@@ -207,13 +208,28 @@ func (e *Executor) putSession(s *pipeline.Session) {
 }
 
 // Source compiles a whole translation unit from loop-language source:
-// frontend, then Run over the compiled loops. Frontend errors (parse
-// and graph construction) fail the whole unit, like any compiler.
+// frontend, then Run over the compiled loops. The source is parsed on
+// the calling goroutine; the per-loop graph builds then run on up to
+// Options.Workers workers, and all of them finish before Run starts.
+// Frontend errors (parse and graph construction) fail the whole unit
+// with the first error in source order, like any compiler, and no
+// Emit callback fires.
 func Source(ctx context.Context, src string, m *machine.Config, opts Options) (*Result, error) {
 	t := obs.Now()
-	loops, err := frontend.Compile(src)
+	prog, err := frontend.Parse(src)
 	if err != nil {
 		return nil, err
+	}
+	loops := make([]frontend.Loop, prog.Len())
+	errs := make([]error, prog.Len())
+	// The build is uncancelable: ctx governs Run, not the frontend.
+	pool.ForEach(context.Background(), prog.Len(), opts.Workers, func(i int) {
+		loops[i], errs[i] = buildLoop(prog, i)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	frontendNS := obs.Now().Sub(t).Nanoseconds()
 	res, err := NewExecutor(m, opts).Run(ctx, loops)
@@ -222,6 +238,10 @@ func Source(ctx context.Context, src string, m *machine.Config, opts Options) (*
 	}
 	return res, err
 }
+
+// buildLoop is Source's per-loop graph build. No known source parses
+// and then fails to build, so tests replace it to fail a chosen loop.
+var buildLoop = (*frontend.Program).Build
 
 // Run compiles every loop of the translation unit. Per-loop failures
 // land in LoopResult.Err and never abort the unit; the returned error

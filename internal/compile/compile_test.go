@@ -3,6 +3,7 @@ package compile
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -298,4 +299,86 @@ func schedInput(e *Executor, r *LoopResult) (sched.Input, *sched.Schedule) {
 		CopyTargets: r.Outcome.Assignment.CopyTargets,
 		II:          r.Outcome.II,
 	}, r.Outcome.Schedule
+}
+
+// TestSourceMatchesFrontendPlusRun: building the graphs on the workers
+// changes nothing — Source at every worker count equals the serial
+// frontend.Compile followed by Run, loop by loop, graphs included.
+func TestSourceMatchesFrontendPlusRun(t *testing.T) {
+	src := GeneratedSource()
+	m := machine.NewBusedGP(2, 2, 1)
+	loops, err := frontend.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := testOptions()
+	opts.StageSched = true
+	want, err := NewExecutor(m, opts).Run(context.Background(), loops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 4} {
+		opts.Workers = w
+		var emitted []int
+		opts.Emit = func(l *LoopResult) { emitted = append(emitted, l.Index) }
+		got, err := Source(context.Background(), src, m, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if len(emitted) != len(loops) {
+			t.Errorf("workers=%d: %d emit callbacks, want %d", w, len(emitted), len(loops))
+		}
+		for i := range loops {
+			g, l := got.Loops[i].Graph, loops[i]
+			if got.Loops[i].Name != l.Name || got.Loops[i].Line != l.Line ||
+				!reflect.DeepEqual(g.Nodes, l.Graph.Nodes) || !reflect.DeepEqual(g.Edges, l.Graph.Edges) {
+				t.Fatalf("workers=%d: loop %d (%s) graph differs from frontend.Compile's", w, i, l.Name)
+			}
+		}
+		if g, w2 := render(got), render(want); g != w2 {
+			t.Fatalf("workers=%d: Source output differs from frontend.Compile + Run:\n%s", w, firstDiff(g, w2))
+		}
+	}
+}
+
+// TestSourceBuildFailureFailsUnit: when loop k's graph build fails,
+// Source returns that error — the first in source order, even though
+// a later loop fails too and the builds run in parallel — with no
+// result and no Emit callback, exactly as the serial frontend did.
+func TestSourceBuildFailureFailsUnit(t *testing.T) {
+	src := GeneratedSource()
+	prog, err := frontend.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 5
+	if prog.Len() < k+4 {
+		t.Fatalf("corpus has %d loops, want > %d", prog.Len(), k+3)
+	}
+	t.Cleanup(func() { buildLoop = (*frontend.Program).Build })
+	buildLoop = func(p *frontend.Program, i int) (frontend.Loop, error) {
+		if i == k || i == k+3 {
+			return frontend.Loop{}, fmt.Errorf("injected build failure in loop %d", i)
+		}
+		return p.Build(i)
+	}
+	for _, w := range []int{1, 2, 4} {
+		opts := testOptions()
+		opts.Workers = w
+		emitted := 0
+		opts.Emit = func(*LoopResult) { emitted++ }
+		res, err := Source(context.Background(), src, machine.NewBusedGP(2, 2, 1), opts)
+		if err == nil || err.Error() != fmt.Sprintf("injected build failure in loop %d", k) {
+			t.Errorf("workers=%d: error %v, want loop %d's build failure", w, err, k)
+		}
+		if res != nil || emitted != 0 {
+			t.Errorf("workers=%d: failed unit returned a result (%v) or emitted %d loops", w, res != nil, emitted)
+		}
+	}
+	// A parse error is reported as the frontend reports it.
+	bad := src + "\nloop broken { a[j] = 1.0 }\n"
+	_, want := frontend.Compile(bad)
+	if _, err := Source(context.Background(), bad, machine.NewBusedGP(2, 2, 1), testOptions()); err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("parse error %v, want %v", err, want)
+	}
 }

@@ -25,7 +25,35 @@ type Loop struct {
 // at equal subscripts are forwarded (load-store elimination, as the
 // paper's input suite had applied), and repeated loads of the same
 // element reuse one load.
+//
+// Compile is Parse followed by Build of every loop in source order;
+// callers that want the per-loop builds in parallel use those two
+// directly.
 func Compile(src string) ([]Loop, error) {
+	prog, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Loop, prog.Len())
+	for i := range out {
+		if out[i], err = prog.Build(i); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// Program is a parsed translation unit: one syntax tree per loop, in
+// source order. It is read-only once Parse returns, so Build may run
+// for different loops on different goroutines.
+type Program struct {
+	loops []loopAST
+}
+
+// Parse lexes and parses the whole source without building any
+// dependence graph. It reports every lexical and syntax error Compile
+// reports, and rejects a source with no loops.
+func Parse(src string) (*Program, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
@@ -37,15 +65,21 @@ func Compile(src string) ([]Loop, error) {
 	if len(asts) == 0 {
 		return nil, fmt.Errorf("frontend: no loops in source")
 	}
-	var out []Loop
-	for _, ast := range asts {
-		g, err := compileLoop(ast)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Loop{Name: ast.name, Graph: g, Line: ast.line})
+	return &Program{loops: asts}, nil
+}
+
+// Len is the number of loops in the program.
+func (p *Program) Len() int { return len(p.loops) }
+
+// Build compiles loop i of the program to its dependence graph. It
+// only reads the program, so concurrent calls are safe.
+func (p *Program) Build(i int) (Loop, error) {
+	ast := &p.loops[i]
+	g, err := compileLoop(ast)
+	if err != nil {
+		return Loop{}, err
 	}
-	return out, nil
+	return Loop{Name: ast.name, Graph: g, Line: ast.line}, nil
 }
 
 // access records one array access for memory-dependence analysis.
@@ -54,6 +88,12 @@ type access struct {
 	store  bool
 	offset int
 	stmt   int // statement index, for same-iteration ordering
+}
+
+// element is one array element of an iteration: array[i+offset].
+type element struct {
+	array  string
+	offset int
 }
 
 // carriedUse is a scalar read whose definition comes later in the
@@ -65,24 +105,25 @@ type carriedUse struct {
 
 type compiler struct {
 	g            *ddg.Graph
-	lastDef      map[string]int         // scalar -> defining node so far (-1: constant)
-	definedIn    map[string]bool        // scalar assigned anywhere in the body
-	loads        map[[2]interface{}]int // (array, offset) -> load node this iteration
-	stored       map[[2]interface{}]int // (array, offset) -> value node stored this iteration
-	arrays       map[string][]access
-	carriedNames []string     // names behind negative value markers
-	carried      []carriedUse // resolved loop-carried uses
+	lastDef      map[string]int  // scalar -> defining node so far (-1: constant)
+	definedIn    map[string]bool // scalar assigned anywhere in the body
+	loads        map[element]int // load node of each element read this iteration
+	stored       map[element]int // value node stored to each element this iteration
+	arrayOf      map[string]int  // array -> index into arrays
+	arrays       [][]access      // accesses per array, arrays in first-access order
+	carriedNames []string        // names behind negative value markers
+	carried      []carriedUse    // resolved loop-carried uses
 	stmt         int
 }
 
-func compileLoop(ast loopAST) (*ddg.Graph, error) {
+func compileLoop(ast *loopAST) (*ddg.Graph, error) {
 	c := &compiler{
 		g:         ddg.NewGraph(len(ast.body)*4, len(ast.body)*6),
 		lastDef:   map[string]int{},
 		definedIn: map[string]bool{},
-		loads:     map[[2]interface{}]int{},
-		stored:    map[[2]interface{}]int{},
-		arrays:    map[string][]access{},
+		loads:     map[element]int{},
+		stored:    map[element]int{},
+		arrayOf:   map[string]int{},
 	}
 	for _, st := range ast.body {
 		if !st.target.array {
@@ -98,12 +139,10 @@ func compileLoop(ast loopAST) (*ddg.Graph, error) {
 		if st.target.array {
 			store := c.g.AddNode(ddg.OpStore, subscriptName(st.target.name, st.target.offset))
 			c.attach(value, store)
-			key := [2]interface{}{st.target.name, st.target.offset}
+			key := element{st.target.name, st.target.offset}
 			c.stored[key] = value
 			delete(c.loads, key) // a reload after the store sees the new value
-			c.arrays[st.target.name] = append(c.arrays[st.target.name], access{
-				node: store, store: true, offset: st.target.offset, stmt: i,
-			})
+			c.record(st.target.name, access{node: store, store: true, offset: st.target.offset, stmt: i})
 		} else {
 			c.lastDef[st.target.name] = value // -1 when constant: folds away
 		}
@@ -151,7 +190,7 @@ func (c *compiler) emitExpr(e *expr) (int, error) {
 		}
 		return -1, nil // loop invariant, lives in a register
 	case exprArray:
-		key := [2]interface{}{e.name, e.offset}
+		key := element{e.name, e.offset}
 		if v, ok := c.stored[key]; ok {
 			return v, nil // store-to-load forwarding
 		}
@@ -160,9 +199,7 @@ func (c *compiler) emitExpr(e *expr) (int, error) {
 		}
 		ld := c.g.AddNode(ddg.OpLoad, subscriptName(e.name, e.offset))
 		c.loads[key] = ld
-		c.arrays[e.name] = append(c.arrays[e.name], access{
-			node: ld, offset: e.offset, stmt: c.stmt,
-		})
+		c.record(e.name, access{node: ld, offset: e.offset, stmt: c.stmt})
 		return ld, nil
 	case exprBinary:
 		left, err := c.emitExpr(e.args[0])
@@ -231,11 +268,25 @@ func (c *compiler) attach(value, consumer int) {
 	}
 }
 
+// record appends an access to its array's list, opening the list on
+// the array's first access.
+func (c *compiler) record(array string, a access) {
+	k, ok := c.arrayOf[array]
+	if !ok {
+		k = len(c.arrays)
+		c.arrayOf[array] = k
+		c.arrays = append(c.arrays, nil)
+	}
+	c.arrays[k] = append(c.arrays[k], a)
+}
+
 // memoryDependences adds RAW, WAR, and WAW edges between accesses to
 // the same array. Access A at subscript i+oa and access B at i+ob
 // touch the same element when B's iteration runs oa-ob iterations
 // after A's; a dependence exists when that distance is positive, or
-// zero with A preceding B in the body.
+// zero with A preceding B in the body. Arrays are walked in
+// first-access order, so the edge order — which cache keys hash — is
+// the same on every compile.
 func (c *compiler) memoryDependences() {
 	for _, accs := range c.arrays {
 		for ai, a := range accs {

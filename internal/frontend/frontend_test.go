@@ -1,12 +1,15 @@
 package frontend_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"clustersched/internal/assign"
+	"clustersched/internal/compile"
 	"clustersched/internal/ddg"
 	"clustersched/internal/frontend"
+	"clustersched/internal/loopgen"
 	"clustersched/internal/machine"
 	"clustersched/internal/mii"
 	"clustersched/internal/pipeline"
@@ -285,5 +288,29 @@ func TestCompileSelectArityError(t *testing.T) {
 	_, err = frontend.Compile(`loop x { a[i] = sqrt(b[i], c[i]) }`)
 	if err == nil {
 		t.Error("sqrt with two args accepted")
+	}
+}
+
+// TestCompileEdgeOrderIsDeterministic: memory-dependence edges come
+// out in the same order on every compile. Cache keys hash edges in
+// order, so a run-to-run order change makes identical requests miss.
+// Several loops of this corpus access more than one array, where a
+// map-ordered walk would reorder the edges.
+func TestCompileEdgeOrderIsDeterministic(t *testing.T) {
+	src := loopgen.SourceCorpus(compile.CorpusSeed, 96)
+	first, err := frontend.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 50; run++ {
+		loops, err := frontend.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range loops {
+			if !reflect.DeepEqual(l.Graph.Edges, first[i].Graph.Edges) {
+				t.Fatalf("compile %d: loop %s edges %v, first compile had %v", run, l.Name, l.Graph.Edges, first[i].Graph.Edges)
+			}
+		}
 	}
 }

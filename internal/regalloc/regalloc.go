@@ -44,7 +44,7 @@ func producesValue(k ddg.OpKind) bool {
 func Lifetimes(in sched.Input, s *sched.Schedule) []Lifetime {
 	g := in.Graph
 	lat := in.Machine.Latency
-	var out []Lifetime
+	out := make([]Lifetime, 0, g.NumNodes())
 	for v := 0; v < g.NumNodes(); v++ {
 		if !producesValue(g.Nodes[v].Kind) {
 			continue
@@ -88,9 +88,13 @@ func clusterOf(in sched.Input, n int) int {
 // means no value outlives its iteration's slot and the plain kernel is
 // safe even without rotating registers.
 func MVEFactor(in sched.Input, s *sched.Schedule) int {
+	return mveFactor(Lifetimes(in, s), s.II)
+}
+
+func mveFactor(ls []Lifetime, ii int) int {
 	factor := 1
-	for _, l := range Lifetimes(in, s) {
-		if f := (l.Len + s.II - 1) / s.II; f > factor {
+	for _, l := range ls {
+		if f := (l.Len + ii - 1) / ii; f > factor {
 			factor = f
 		}
 	}
@@ -143,57 +147,116 @@ func (a *Allocation) TotalRegisters() int {
 // length (first-fit, longest arcs first). The result is a valid
 // register binding: no two arcs sharing a register overlap on the
 // circle, which Validate re-checks independently.
+//
+// Every binding lives in one slab, partitioned by cluster with a
+// counting pass, so each cluster's arcs are a contiguous run of the
+// returned Bindings; a register's arcs are an index-linked list
+// through that slab.
 func AllocateMVE(in sched.Input, s *sched.Schedule) *Allocation {
-	factor := MVEFactor(in, s)
+	ls := Lifetimes(in, s)
+	factor := mveFactor(ls, s.II)
 	circle := factor * s.II
-	alloc := &Allocation{
-		Factor:         factor,
-		RegsPerCluster: make([]int, in.Machine.NumClusters()),
+	nc := in.Machine.NumClusters()
+	alloc := &Allocation{Factor: factor, RegsPerCluster: make([]int, nc)}
+	if len(ls) == 0 {
+		return alloc
 	}
 
-	byCluster := make([][]Binding, in.Machine.NumClusters())
-	for _, l := range Lifetimes(in, s) {
+	// end[cl] is first the cluster's binding count, then (after the
+	// prefix sum) the end of its run in the slab; fill[cl] is the
+	// cluster's next free slot during the fill.
+	bounds := make([]int, 2*nc)
+	end, fill := bounds[:nc], bounds[nc:]
+	for _, l := range ls {
+		end[l.Cluster] += factor
+	}
+	for cl := 1; cl < nc; cl++ {
+		end[cl] += end[cl-1]
+		fill[cl] = end[cl-1]
+	}
+	// start[k] caches slab[k]'s arc start; next[k] links slab[k] to the
+	// previously placed arc of its register and head[r] is register r's
+	// most recent arc (-1 terminates both). A cluster never needs more
+	// registers than it has arcs, so head fits in the same block.
+	n := len(ls) * factor
+	slab := make([]Binding, n)
+	idx := make([]int, 3*n)
+	start, next, head := idx[:n], idx[n:2*n], idx[2*n:2*n]
+	for _, l := range ls {
 		for i := 0; i < factor; i++ {
-			b := Binding{Lifetime: l, Instance: i, Register: -1}
-			byCluster[l.Cluster] = append(byCluster[l.Cluster], b)
+			k := fill[l.Cluster]
+			slab[k] = Binding{Lifetime: l, Instance: i, Register: -1}
+			start[k] = slab[k].arcStart(s.II, circle)
+			fill[l.Cluster]++
 		}
 	}
 
-	for cl, arcs := range byCluster {
-		// Longest first, then earliest start, then value ID: stable and
-		// effective for first-fit circular coloring.
-		sort.Slice(arcs, func(i, j int) bool {
-			a, b := arcs[i], arcs[j]
-			if a.Len != b.Len {
-				return a.Len > b.Len
-			}
-			if sa, sb := a.arcStart(s.II, circle), b.arcStart(s.II, circle); sa != sb {
-				return sa < sb
-			}
-			if a.Value != b.Value {
-				return a.Value < b.Value
-			}
-			return a.Instance < b.Instance
-		})
-		var regs [][]Binding // per register: its assigned arcs
-		for i := range arcs {
-			placed := false
-			for r := 0; r < len(regs) && !placed; r++ {
-				if fits(arcs[i], regs[r], s.II, circle) {
-					arcs[i].Register = r
-					regs[r] = append(regs[r], arcs[i])
-					placed = true
+	order := &arcOrder{}
+	lo := 0
+	for cl := 0; cl < nc; cl++ {
+		order.arcs, order.start = slab[lo:end[cl]], start[lo:end[cl]]
+		sort.Sort(order)
+		head = head[:0]
+		for k := lo; k < end[cl]; k++ {
+			r := 0
+			for ; r < len(head); r++ {
+				if fitsLinked(k, head[r], slab, start, next, circle) {
+					break
 				}
 			}
-			if !placed {
-				arcs[i].Register = len(regs)
-				regs = append(regs, []Binding{arcs[i]})
+			if r == len(head) {
+				head = append(head, -1)
 			}
+			slab[k].Register = r
+			next[k] = head[r]
+			head[r] = k
 		}
-		alloc.RegsPerCluster[cl] = len(regs)
-		alloc.Bindings = append(alloc.Bindings, arcs...)
+		alloc.RegsPerCluster[cl] = len(head)
+		lo = end[cl]
 	}
+	alloc.Bindings = slab
 	return alloc
+}
+
+// arcOrder sorts one cluster's arcs for first-fit coloring, carrying
+// their cached arc starts along: longest first, then earliest start,
+// then value ID and instance — a total order, stable and effective for
+// first-fit circular coloring.
+type arcOrder struct {
+	arcs  []Binding
+	start []int
+}
+
+func (o *arcOrder) Len() int { return len(o.arcs) }
+
+func (o *arcOrder) Less(i, j int) bool {
+	a, b := &o.arcs[i], &o.arcs[j]
+	if a.Len != b.Len {
+		return a.Len > b.Len
+	}
+	if o.start[i] != o.start[j] {
+		return o.start[i] < o.start[j]
+	}
+	if a.Value != b.Value {
+		return a.Value < b.Value
+	}
+	return a.Instance < b.Instance
+}
+
+func (o *arcOrder) Swap(i, j int) {
+	o.arcs[i], o.arcs[j] = o.arcs[j], o.arcs[i]
+	o.start[i], o.start[j] = o.start[j], o.start[i]
+}
+
+// fitsLinked reports whether arc k overlaps none of the arcs on the
+// register list starting at slab index h.
+func fitsLinked(k, h int, slab []Binding, start, next []int, circle int) bool {
+	for ; h >= 0; h = next[h] {
+		if arcsOverlap(start[k], slab[k].Len, start[h], slab[h].Len, circle) {
+			return false
+		}
+	}
+	return true
 }
 
 // arcStart is where the instance's lifetime begins on the circle.
@@ -203,16 +266,6 @@ func (b Binding) arcStart(ii, circle int) int {
 		s += circle
 	}
 	return s
-}
-
-// fits reports whether arc a overlaps none of the register's arcs.
-func fits(a Binding, assigned []Binding, ii, circle int) bool {
-	for _, b := range assigned {
-		if arcsOverlap(a.arcStart(ii, circle), a.Len, b.arcStart(ii, circle), b.Len, circle) {
-			return false
-		}
-	}
-	return true
 }
 
 // arcsOverlap tests two circular arcs (start, length) on a circle.

@@ -57,7 +57,8 @@ func (r *Rotating) TotalRegisters() int {
 // [startA, endA) ∩ [startB + (j-i)·II, endB + (j-i)·II) non-empty.
 // The allocator forbids exactly those residues and first-fits logical
 // numbers, growing R (and restarting the cluster) when a value cannot
-// be placed — R starts at the cluster's lifetime-sum lower bound.
+// be placed — R starts at the larger of the cluster's lifetime-sum
+// lower bound and its longest value's span.
 func AllocateRotating(in sched.Input, s *sched.Schedule) *Rotating {
 	rot := &Rotating{
 		RegsPerCluster: make([]int, in.Machine.NumClusters()),
@@ -81,15 +82,19 @@ func AllocateRotating(in sched.Input, s *sched.Schedule) *Rotating {
 			}
 			return a.Value < b.Value
 		})
-		// Lower bounds: the lifetime-sum bound and the longest single
-		// value's span.
-		sum := 0
+		// Lower bounds: the lifetime-sum bound and the longest span of a
+		// value in this cluster's file (another cluster's long value
+		// says nothing about this file).
+		sum, span := 0, 0
 		for _, l := range lifetimes {
 			sum += l.Len
+			if sp := (l.Len + s.II - 1) / s.II; sp > span {
+				span = sp
+			}
 		}
 		r := (sum + s.II - 1) / s.II
-		if r < rot.maxSpan {
-			r = rot.maxSpan
+		if r < span {
+			r = span
 		}
 		if r < 1 {
 			r = 1

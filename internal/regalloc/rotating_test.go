@@ -68,48 +68,75 @@ func TestRotatingDetectsImpossiblyTightValidate(t *testing.T) {
 	}
 }
 
+// rotatingMachines are the machines the rotating property test draws
+// from.
+var rotatingMachines = []*machine.Config{
+	machine.NewBusedGP(2, 2, 1),
+	machine.NewBusedFS(4, 4, 2),
+	machine.NewGrid4(2),
+}
+
+// rotatingWithinBound schedules the generated loop of seed on m and
+// checks the rotating allocation: valid, never below the per-cluster
+// lower bound, and no more than twice MVE's registers plus two per
+// cluster.
+func rotatingWithinBound(t *testing.T, seed int64, m *machine.Config) bool {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	g := loopgen.Loop(rng)
+	in, s := schedule(t, g, m)
+	rot := AllocateRotating(in, s)
+	if err := rot.Validate(in, s); err != nil {
+		t.Logf("seed %d on %s: %v", seed, m.Name, err)
+		return false
+	}
+	// Rotation trades registers for zero unrolling: a single logical
+	// name per value must avoid every instance of every neighbour,
+	// so a rotating file can exceed MVE's pooled arc coloring —
+	// but not unboundedly.
+	mve := AllocateMVE(in, s)
+	if rot.TotalRegisters() > 2*mve.TotalRegisters()+2*m.NumClusters() {
+		t.Logf("seed %d on %s: rotating %d regs %v vs MVE %d %v — implausibly wasteful",
+			seed, m.Name, rot.TotalRegisters(), rot.RegsPerCluster, mve.TotalRegisters(), mve.RegsPerCluster)
+		return false
+	}
+	_, perCluster := LowerBound(in, s)
+	for cl, need := range perCluster {
+		if rot.RegsPerCluster[cl] < need {
+			t.Logf("seed %d on %s: cluster %d file %d below lower bound %d",
+				seed, m.Name, cl, rot.RegsPerCluster[cl], need)
+			return false
+		}
+	}
+	return true
+}
+
 // TestRotatingValidatesOnSuiteLoops is the rotating analogue of the
 // MVE property test, and compares the two allocators' register needs:
 // rotation must never need kernel unrolling and should use no more
 // registers than MVE allocates in total.
 func TestRotatingValidatesOnSuiteLoops(t *testing.T) {
-	machines := []*machine.Config{
-		machine.NewBusedGP(2, 2, 1),
-		machine.NewBusedFS(4, 4, 2),
-		machine.NewGrid4(2),
-	}
 	f := func(seed int64, mIdx uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := loopgen.Loop(rng)
-		m := machines[int(mIdx)%len(machines)]
-		in, s := schedule(t, g, m)
-		rot := AllocateRotating(in, s)
-		if err := rot.Validate(in, s); err != nil {
-			t.Logf("seed %d on %s: %v", seed, m.Name, err)
-			return false
-		}
-		// Rotation trades registers for zero unrolling: a single logical
-		// name per value must avoid every instance of every neighbour,
-		// so a rotating file can exceed MVE's pooled arc coloring —
-		// but not unboundedly.
-		mve := AllocateMVE(in, s)
-		if rot.TotalRegisters() > 2*mve.TotalRegisters()+2*m.NumClusters() {
-			t.Logf("seed %d on %s: rotating %d regs vs MVE %d — implausibly wasteful",
-				seed, m.Name, rot.TotalRegisters(), mve.TotalRegisters())
-			return false
-		}
-		_, perCluster := LowerBound(in, s)
-		for cl, need := range perCluster {
-			if rot.RegsPerCluster[cl] < need {
-				t.Logf("seed %d on %s: cluster %d file %d below lower bound %d",
-					seed, m.Name, cl, rot.RegsPerCluster[cl], need)
-				return false
-			}
-		}
-		return true
+		return rotatingWithinBound(t, seed, rotatingMachines[int(mIdx)%len(rotatingMachines)])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRotatingFilesFlooredPerCluster pins inputs the property test
+// once drew and failed: each has one cluster holding a value that
+// spans many iterations, and flooring every cluster's file at that
+// global span (instead of the cluster's own) blew the bound — seed
+// 4430928447742186498 on fs-4c-4b-2p took files [12 14 12 12] against
+// MVE's [3 14 1 1].
+func TestRotatingFilesFlooredPerCluster(t *testing.T) {
+	for _, seed := range []int64{4430928447742186498, 1832547576517937365, -7700962933486570154} {
+		for _, m := range rotatingMachines {
+			if !rotatingWithinBound(t, seed, m) {
+				t.Errorf("seed %d on %s: rotating allocation out of bounds", seed, m.Name)
+			}
+		}
 	}
 }
 

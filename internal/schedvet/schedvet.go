@@ -60,11 +60,13 @@ type Config struct {
 // heartbeats and is held only to the lock discipline. The streaming
 // compile executor is under both: its output must be byte-identical
 // across worker counts (critical — goroutines live in internal/pool,
-// timing goes through obs), and it must stay mutex-free (locks).
+// timing goes through obs), and it must stay mutex-free (locks). The
+// frontend is critical because cache keys hash the graphs it builds:
+// their edge order must not depend on map iteration.
 func DefaultConfig() Config {
 	return Config{
-		Critical: []string{"clustersched", "assign", "sched", "mrt", "mii", "order", "ddg", "pipeline", "cache", "membership", "cachering", "compile"},
-		Locks:    []string{"cache", "server", "balance", "membership", "cachering", "compile"},
+		Critical: []string{"clustersched", "assign", "sched", "mrt", "mii", "order", "ddg", "pipeline", "cache", "membership", "cachering", "compile", "frontend"},
+		Locks:    []string{"cache", "server", "balance", "membership", "cachering", "compile", "frontend"},
 		NoFollow: []string{"obs"},
 	}
 }

@@ -21,7 +21,9 @@ import (
 
 	"clustersched"
 	"clustersched/internal/client"
+	"clustersched/internal/compile"
 	"clustersched/internal/ddgio"
+	"clustersched/internal/loopgen"
 	"clustersched/internal/obs"
 	"clustersched/internal/server"
 )
@@ -234,6 +236,36 @@ func TestBatchFanOutAndCache(t *testing.T) {
 	}
 	if xcache != "hit" {
 		t.Errorf("schedule after batch X-Cache = %q, want hit (shared entries)", xcache)
+	}
+}
+
+// TestBatchRepeatSourceServedFromCache: a repeated /v1/batch of the
+// same loop source is served entirely from the cache. Several loops of
+// this corpus have memory dependences on more than one array; if the
+// frontend emitted those edges in varying order, their cache keys
+// would change between compiles and the repeat would miss.
+func TestBatchRepeatSourceServedFromCache(t *testing.T) {
+	c, _ := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	req := server.BatchRequest{Source: loopgen.SourceCorpus(compile.CorpusSeed, 96), Machine: "gp:2:2:1"}
+	cold, err := c.Batch(ctx, req)
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	warm, err := c.Batch(ctx, req)
+	if err != nil {
+		t.Fatalf("repeat batch: %v", err)
+	}
+	if len(warm.Items) != 96 || warm.CacheHits != len(warm.Items) {
+		t.Errorf("repeat batch: %d cache hits of %d items, want all 96", warm.CacheHits, len(warm.Items))
+	}
+	for i := range warm.Items {
+		if !warm.Items[i].Cached {
+			t.Errorf("repeat item %d (%s) missed the cache", i, warm.Items[i].Name)
+		}
+		if !bytes.Equal(warm.Items[i].Result, cold.Items[i].Result) {
+			t.Errorf("repeat item %d (%s) differs from the first reply", i, warm.Items[i].Name)
+		}
 	}
 }
 

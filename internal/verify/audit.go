@@ -2,9 +2,11 @@ package verify
 
 import (
 	"fmt"
+	"sync"
 
 	"clustersched/internal/ddg"
 	"clustersched/internal/diag"
+	"clustersched/internal/machine"
 	"clustersched/internal/mrt"
 	"clustersched/internal/sched"
 )
@@ -30,6 +32,12 @@ const (
 // When the cycle table's length does not match the graph, only that
 // violation is reported: nothing else can be audited meaningfully.
 func Audit(in sched.Input, s *sched.Schedule) []diag.Diagnostic {
+	return audit(in, s, &tables)
+}
+
+// audit is Audit replaying the resources into a table drawn from (and
+// returned to) pool, or into a new table when pool is nil.
+func audit(in sched.Input, s *sched.Schedule, pool *sync.Pool) []diag.Diagnostic {
 	var r diag.Reporter
 	g := in.Graph
 	if s.II != in.II {
@@ -56,27 +64,26 @@ func Audit(in sched.Input, s *sched.Schedule) []diag.Diagnostic {
 	badCluster := make([]bool, g.NumNodes())
 	for n := 0; n < g.NumNodes(); n++ {
 		cl := clusterOf(in, n)
-		subject := fmt.Sprintf("node %d", n)
 		if cl < 0 || cl >= in.Machine.NumClusters() {
-			r.Errorf(CodeBadCluster, subject, "node %d assigned to invalid cluster %d", n, cl)
+			r.Errorf(CodeBadCluster, nodeSubject(n), "node %d assigned to invalid cluster %d", n, cl)
 			badCluster[n] = true
 			continue
 		}
 		if g.Nodes[n].Kind == ddg.OpCopy {
 			targets := copyTargets(in, n)
 			if len(targets) == 0 {
-				r.Errorf(CodeBadCopy, subject, "copy node %d has no targets", n)
+				r.Errorf(CodeBadCopy, nodeSubject(n), "copy node %d has no targets", n)
 			}
 			for _, t := range targets {
 				if t == cl {
-					r.Errorf(CodeBadCopy, subject, "copy node %d targets its own cluster %d", n, cl)
+					r.Errorf(CodeBadCopy, nodeSubject(n), "copy node %d targets its own cluster %d", n, cl)
 				} else if t < 0 || t >= in.Machine.NumClusters() {
-					r.Errorf(CodeBadCopy, subject, "copy node %d targets invalid cluster %d", n, t)
+					r.Errorf(CodeBadCopy, nodeSubject(n), "copy node %d targets invalid cluster %d", n, t)
 					badCluster[n] = true
 				}
 			}
 		} else if in.Machine.Clusters[cl].FUCountFor(g.Nodes[n].Kind) == 0 {
-			r.Errorf(CodeIncapableUnit, subject, "node %d (%s) on cluster %d with no capable unit",
+			r.Errorf(CodeIncapableUnit, nodeSubject(n), "node %d (%s) on cluster %d with no capable unit",
 				n, g.Nodes[n].Kind, cl)
 		}
 	}
@@ -105,10 +112,13 @@ func Audit(in sched.Input, s *sched.Schedule) []diag.Diagnostic {
 		}
 	}
 
-	// Resources: replay every placement into a fresh table; any
+	// Resources: replay every placement into an empty table; any
 	// collision or missing unit is a violation. Nodes on nonexistent
 	// clusters were reported above and cannot be replayed.
-	table := mrt.NewCycle(in.Machine, in.II)
+	table := emptyTable(pool, in.Machine, in.II)
+	if pool != nil {
+		defer pool.Put(table)
+	}
 	for n := 0; n < g.NumNodes(); n++ {
 		if badCluster[n] {
 			continue
@@ -121,10 +131,33 @@ func Audit(in sched.Input, s *sched.Schedule) []diag.Diagnostic {
 		}
 		ok := table.CommitOp(op, s.CycleOf[n])
 		if !ok {
-			r.Errorf(CodeOversubscribed, fmt.Sprintf("node %d", n),
+			r.Errorf(CodeOversubscribed, nodeSubject(n),
 				"node %d oversubscribes resources at cycle %d (slot %d)",
 				n, s.CycleOf[n], s.CycleOf[n]%in.II)
 		}
 	}
 	return r.Diagnostics()
+}
+
+// nodeSubject is a node diagnostic's subject, formatted only when a
+// finding is reported.
+func nodeSubject(n int) string { return fmt.Sprintf("node %d", n) }
+
+// tables recycles Audit's reservation tables. Audit runs once per
+// compiled loop and on every daemon cache miss, and a new table plus
+// its placement arena per call is ~4 KB of garbage.
+var tables sync.Pool
+
+// emptyTable returns an empty reservation table for m at ii: a table
+// from pool if it was built for the same machine, cleared by ResetII,
+// or else a new one. A reset table is indistinguishable from a new
+// one, so the replay stays independent of the schedulers' tables.
+func emptyTable(pool *sync.Pool, m *machine.Config, ii int) *mrt.Cycle {
+	if pool != nil {
+		if t, ok := pool.Get().(*mrt.Cycle); ok && t.Machine() == m {
+			t.ResetII(ii)
+			return t
+		}
+	}
+	return mrt.NewCycle(m, ii)
 }

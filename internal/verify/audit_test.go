@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"clustersched/internal/ddg"
@@ -89,5 +91,77 @@ func TestAuditLengthMismatchShortCircuits(t *testing.T) {
 	diags := Audit(in, s)
 	if len(diags) != 1 || diags[0].Code != CodeLengthMismatch {
 		t.Errorf("length mismatch audit = %v, want single %s", diags, CodeLengthMismatch)
+	}
+}
+
+func hasCode(diags []diag.Diagnostic, code string) bool {
+	for _, d := range diags {
+		if d.Code == code {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPooledAuditMatchesFreshTable requires the pooled Audit to report
+// exactly what a replay into a new table reports: on valid schedules,
+// on tampered (oversubscribed) ones, and after the pooled table has
+// served another machine and a larger II. The machines interleave, so
+// the pool keeps handing out tables of the wrong machine too.
+func TestPooledAuditMatchesFreshTable(t *testing.T) {
+	machines := []*machine.Config{
+		machine.NewBusedGP(2, 2, 1),
+		machine.NewBusedFS(4, 4, 2),
+		machine.NewGrid4(2),
+	}
+	var pool sync.Pool
+	check := func(what string, in sched.Input, s *sched.Schedule) []diag.Diagnostic {
+		t.Helper()
+		got, want := audit(in, s, &pool), audit(in, s, nil)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s on %s: pooled audit differs from a new table's:\n got %v\nwant %v", what, in.Machine.Name, got, want)
+		}
+		return got
+	}
+	// tamper crowds every node into the first node's cycle.
+	tamper := func(s *sched.Schedule, ii int) *sched.Schedule {
+		bad := &sched.Schedule{II: ii, CycleOf: make([]int, len(s.CycleOf))}
+		for n := range bad.CycleOf {
+			bad.CycleOf[n] = s.CycleOf[0]
+		}
+		return bad
+	}
+	const seeds = 12
+	oversubscribed := 0
+	for seed := int64(0); seed < seeds; seed++ {
+		for _, m := range machines {
+			in, s := scheduledLoop(t, seed, m)
+			if d := check("valid", in, s); len(d) != 0 {
+				t.Errorf("seed %d on %s: valid schedule audited dirty: %v", seed, m.Name, d)
+			}
+			// Loops small enough to fit one slot only break dependences.
+			if hasCode(check("tampered", in, tamper(s, in.II)), CodeOversubscribed) {
+				oversubscribed++
+			}
+			// The pooled table now serves a larger II on the same machine
+			// (and then a smaller one again on the next iteration).
+			wide := in
+			wide.II = in.II + 9
+			check("tampered at a larger II", wide, tamper(s, wide.II))
+			check("valid at a larger II", wide, &sched.Schedule{II: wide.II, CycleOf: s.CycleOf})
+		}
+	}
+	if oversubscribed < seeds*len(machines)/2 {
+		t.Errorf("only %d of %d tampered schedules oversubscribed; the resource replay is barely exercised",
+			oversubscribed, seeds*len(machines))
+	}
+	// A table left in the pool by another machine at a large II must
+	// not leak into the next audit.
+	in, s := scheduledLoop(t, 5, machines[0])
+	other, os := scheduledLoop(t, 5, machines[2])
+	other.II += 20
+	check("tampered", other, tamper(os, other.II))
+	if d := check("valid", in, s); len(d) != 0 {
+		t.Errorf("valid schedule audited dirty after another machine's table: %v", d)
 	}
 }

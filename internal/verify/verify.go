@@ -3,7 +3,7 @@
 // cluster-locality rule that an operation may only read values present
 // in its own register file. It is the test oracle the rest of the
 // repository trusts, so it shares no bookkeeping with the schedulers —
-// it rebuilds a fresh reservation table and replays the schedule.
+// it replays the schedule into an empty reservation table of its own.
 package verify
 
 import (

@@ -22,12 +22,13 @@ go test -race ./internal/pool/ ./internal/obs/ ./internal/experiments/ ./interna
 # value-differential, across two machine configs).
 go test -run 'TestCorpusSchedulesAndSimValidates|TestLivermoreValueDifferential' -count=1 ./internal/compile/
 # Short benchmark smoke pass: the assignment benchmarks, the
-# session/batch benchmarks and the kernel emitter's benchmark must
-# still run (allocation regressions fail
+# session/batch benchmarks, the kernel emitter's and the MVE register
+# allocator's benchmarks must still run (allocation regressions fail
 # in the test pass above; this catches benchmarks broken by API drift).
 go test -run xxx -bench . -benchtime 2x ./internal/assign/
 go test -run xxx -bench 'BenchmarkRunBatch|BenchmarkSessionSchedule' -benchtime 1x ./internal/pipeline/
 go test -run xxx -bench BenchmarkKernel -benchtime 1x ./internal/emit/
+go test -run xxx -bench BenchmarkAllocateMVE -benchtime 1x ./internal/regalloc/
 # Baseline-gate smoke: exercises the bench.sh -baseline plumbing (fresh
 # runs parsed and diffed against the committed BENCH JSONs) on a short
 # suite. The loose tolerance keeps a time-shared host from flaking the
