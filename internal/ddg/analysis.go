@@ -131,7 +131,7 @@ func (g *Graph) Height(lat LatencyFunc) []int {
 	adj := g.adjacencyCache()
 	for _, v := range order {
 		h := 0
-		for _, e := range adj.out[v] {
+		for _, e := range adj.out(v) {
 			if e.Distance != 0 {
 				continue
 			}
@@ -169,7 +169,7 @@ func (g *Graph) reverseTopoAcyclic() []int {
 		v := queue[0]
 		queue = queue[1:]
 		topo = append(topo, v)
-		for _, e := range adj.out[v] {
+		for _, e := range adj.out(v) {
 			if e.Distance != 0 {
 				continue
 			}

@@ -117,11 +117,19 @@ type sccCache struct {
 	nonTrivial []*SCC
 }
 
-// adjacency holds the flat adjacency caches: per-node edge lists and
-// distinct sorted neighbor lists, all sub-slices of four shared arrays.
+// adjacency is the CSR form of the edge list: every per-node list the
+// accessors hand out is a capped run of one of two pointer-free slabs.
+// edges holds each node's out-edges in insertion order, then each
+// node's in-edges; nbrs holds each node's sorted distinct successors,
+// then its predecessors. Node id's out-run is edges[eoff[id]:eoff[id+1]]
+// and its in-run edges[eoff[n+id]:eoff[n+id+1]]; noff indexes nbrs the
+// same way.
 type adjacency struct {
-	out, in      [][]Edge
-	succs, preds [][]int
+	n     int
+	eoff  []int32
+	noff  []int32
+	edges []Edge
+	nbrs  []int
 }
 
 // adjacencyCache returns the cache, building it on first use.
@@ -131,73 +139,81 @@ func (g *Graph) adjacencyCache() *adjacency {
 	}
 	n := len(g.Nodes)
 	ne := len(g.Edges)
+	// One int32 slab: the edge offsets, the neighbor offsets, and the
+	// dedup stamps, which are scratch.
+	offs := make([]int32, 5*n+2)
 	a := &adjacency{
-		out:   make([][]Edge, n),
-		in:    make([][]Edge, n),
-		succs: make([][]int, n),
-		preds: make([][]int, n),
+		n:     n,
+		eoff:  offs[: 2*n+1 : 2*n+1],
+		noff:  offs[2*n+1 : 4*n+2 : 4*n+2],
+		edges: make([]Edge, 2*ne),
+		nbrs:  make([]int, 2*ne),
 	}
-	// Counting sort of the edge list into per-node out/in runs of two
-	// flat arrays, preserving insertion order within each node.
-	outOff := make([]int, n+1)
-	inOff := make([]int, n+1)
+	seen := offs[4*n+2:]
+
+	// Counting sort of the edge list into per-node out- and in-runs
+	// (run id and run n+id), preserving insertion order within each
+	// node. After the prefix sum eoff[k] is the start of run k; the
+	// placement advances it as run k's cursor, leaving the end of run k
+	// there, and shifting by one slot restores the starts.
+	eoff := a.eoff
 	for _, e := range g.Edges {
-		outOff[e.From+1]++
-		inOff[e.To+1]++
+		eoff[e.From+1]++
+		eoff[n+e.To+1]++
 	}
-	for i := 0; i < n; i++ {
-		outOff[i+1] += outOff[i]
-		inOff[i+1] += inOff[i]
+	for k := 1; k < 2*n; k++ {
+		eoff[k] += eoff[k-1]
 	}
-	flatOut := make([]Edge, ne)
-	flatIn := make([]Edge, ne)
-	ocur := make([]int, 2*n)
-	icur := ocur[n:]
-	copy(ocur[:n], outOff[:n])
-	copy(icur, inOff[:n])
 	for _, e := range g.Edges {
-		flatOut[ocur[e.From]] = e
-		ocur[e.From]++
-		flatIn[icur[e.To]] = e
-		icur[e.To]++
+		a.edges[eoff[e.From]] = e
+		eoff[e.From]++
+		a.edges[eoff[n+e.To]] = e
+		eoff[n+e.To]++
 	}
-	// Distinct-neighbor dedup via stamps: seen[v] == id marks v as a
-	// recorded successor of id, id+n as a recorded predecessor. The
-	// flats are capped at NumEdges, so the appends never reallocate and
-	// the capped sub-slices stay valid.
-	succFlat := make([]int, 0, ne)
-	predFlat := make([]int, 0, ne)
-	seen := make([]int, n)
-	for i := range seen {
-		seen[i] = -1
+	copy(eoff[1:], eoff[:2*n])
+	eoff[0] = 0
+
+	// Distinct sorted neighbors via stamps: seen[v] == id+1 marks v as
+	// a recorded successor of id, -(id+1) as a recorded predecessor.
+	noff := a.noff
+	k := 0
+	for id := 0; id < n; id++ {
+		noff[id] = int32(k)
+		for _, e := range a.edges[eoff[id]:eoff[id+1]] {
+			if seen[e.To] != int32(id+1) {
+				seen[e.To] = int32(id + 1)
+				a.nbrs[k] = e.To
+				k++
+			}
+		}
+		sort.Ints(a.nbrs[noff[id]:k])
 	}
 	for id := 0; id < n; id++ {
-		a.out[id] = flatOut[outOff[id]:outOff[id+1]:outOff[id+1]]
-		a.in[id] = flatIn[inOff[id]:inOff[id+1]:inOff[id+1]]
-
-		ss := len(succFlat)
-		for _, e := range a.out[id] {
-			if seen[e.To] != id {
-				seen[e.To] = id
-				succFlat = append(succFlat, e.To)
+		noff[n+id] = int32(k)
+		for _, e := range a.edges[eoff[n+id]:eoff[n+id+1]] {
+			if seen[e.From] != -int32(id+1) {
+				seen[e.From] = -int32(id + 1)
+				a.nbrs[k] = e.From
+				k++
 			}
 		}
-		sort.Ints(succFlat[ss:])
-		a.succs[id] = succFlat[ss:len(succFlat):len(succFlat)]
-
-		ps := len(predFlat)
-		for _, e := range a.in[id] {
-			if seen[e.From] != id+n {
-				seen[e.From] = id + n
-				predFlat = append(predFlat, e.From)
-			}
-		}
-		sort.Ints(predFlat[ps:])
-		a.preds[id] = predFlat[ps:len(predFlat):len(predFlat)]
+		sort.Ints(a.nbrs[noff[n+id]:k])
 	}
+	noff[2*n] = int32(k)
 	g.adj.Store(a)
 	return a
 }
+
+// run returns the capped run [off[k], off[k+1]) of a CSR slab.
+func run[T any](slab []T, off []int32, k int) []T {
+	lo, hi := off[k], off[k+1]
+	return slab[lo:hi:hi]
+}
+
+func (a *adjacency) out(id int) []Edge  { return run(a.edges, a.eoff, id) }
+func (a *adjacency) in(id int) []Edge   { return run(a.edges, a.eoff, a.n+id) }
+func (a *adjacency) succs(id int) []int { return run(a.nbrs, a.noff, id) }
+func (a *adjacency) preds(id int) []int { return run(a.nbrs, a.noff, a.n+id) }
 
 // NewGraph returns an empty graph with capacity hints.
 func NewGraph(nodeHint, edgeHint int) *Graph {
@@ -220,8 +236,7 @@ func (g *Graph) AddNode(kind OpKind, name string) int {
 	}
 	g.nodeArena = append(g.nodeArena, Node{ID: id, Kind: kind, Name: name})
 	g.Nodes = append(g.Nodes, &g.nodeArena[len(g.nodeArena)-1])
-	g.adj.Store(nil)
-	g.scc.Store(nil)
+	g.invalidate()
 	return id
 }
 
@@ -236,8 +251,19 @@ func (g *Graph) AddEdge(from, to, distance int) {
 		panic(fmt.Sprintf("ddg: edge (%d,%d) has negative distance %d", from, to, distance))
 	}
 	g.Edges = append(g.Edges, Edge{From: from, To: to, Distance: distance})
-	g.adj.Store(nil)
-	g.scc.Store(nil)
+	g.invalidate()
+}
+
+// invalidate drops the lazily built caches after a mutation. A graph
+// under construction has none yet, so the atomic stores (and their
+// write barriers) are skipped for every AddNode/AddEdge of a build.
+func (g *Graph) invalidate() {
+	if g.adj.Load() != nil {
+		g.adj.Store(nil)
+	}
+	if g.scc.Load() != nil {
+		g.scc.Store(nil)
+	}
 }
 
 // NumNodes returns the number of operations.
@@ -249,25 +275,25 @@ func (g *Graph) NumEdges() int { return len(g.Edges) }
 // OutEdges returns the dependences produced by node id.
 // The returned slice is owned by the graph; callers must not modify it.
 func (g *Graph) OutEdges(id int) []Edge {
-	return g.adjacencyCache().out[id]
+	return g.adjacencyCache().out(id)
 }
 
 // InEdges returns the dependences consumed by node id.
 // The returned slice is owned by the graph; callers must not modify it.
 func (g *Graph) InEdges(id int) []Edge {
-	return g.adjacencyCache().in[id]
+	return g.adjacencyCache().in(id)
 }
 
 // Successors returns the distinct successor node IDs of id, sorted.
 // The returned slice is owned by the graph; callers must not modify it.
 func (g *Graph) Successors(id int) []int {
-	return g.adjacencyCache().succs[id]
+	return g.adjacencyCache().succs(id)
 }
 
 // Predecessors returns the distinct predecessor node IDs of id, sorted.
 // The returned slice is owned by the graph; callers must not modify it.
 func (g *Graph) Predecessors(id int) []int {
-	return g.adjacencyCache().preds[id]
+	return g.adjacencyCache().preds(id)
 }
 
 // Clone returns a deep copy of the graph. Annotated passes (cluster
@@ -362,58 +388,79 @@ func (g *Graph) Validate() error {
 // zeroDistanceCycle returns the node IDs of some cycle consisting only
 // of distance-0 edges, or nil if none exists. Edges with out-of-range
 // endpoints are skipped, so it is safe on graphs Lint has found other
-// problems in.
+// problems in. The depth-first search runs iteratively over a
+// counting-sorted run of each node's valid distance-0 edges, in
+// insertion order, so a long chain cannot grow the goroutine stack; it
+// visits nodes in the order of the recursive search and names the same
+// cycle: the back edge's target, then the search path back to it.
 func (g *Graph) zeroDistanceCycle() []int {
+	n := len(g.Nodes)
+	zero := func(e Edge) bool {
+		return e.Distance == 0 && e.From >= 0 && e.From < n && e.To >= 0 && e.To < n
+	}
+	m := 0
+	for _, e := range g.Edges {
+		if zero(e) {
+			m++
+		}
+	}
+	if m == 0 {
+		return nil
+	}
+	// One slab: per-node run offsets, the runs' targets, the node
+	// colors, and the search stack of (node, next run position) frames.
+	slab := make([]int32, 4*n+1+m)
+	off, to := slab[:n+1], slab[n+1:n+1+m]
+	color := slab[n+1+m : 2*n+1+m]
+	stack := slab[2*n+1+m : 2*n+1+m : 4*n+1+m]
+	for _, e := range g.Edges {
+		if zero(e) {
+			off[e.From+1]++
+		}
+	}
+	for u := 1; u < n; u++ {
+		off[u] += off[u-1]
+	}
+	for _, e := range g.Edges {
+		if zero(e) {
+			to[off[e.From]] = int32(e.To)
+			off[e.From]++
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+
 	const (
 		white = 0
-		gray  = 1
+		gray  = 1 // on the search path
 		black = 2
 	)
-	// Rebuild adjacency from Edges: literal-constructed graphs may have
-	// stale or missing succ slices.
-	succ := make([][]int, len(g.Nodes))
-	for i, e := range g.Edges {
-		if e.From < 0 || e.From >= len(g.Nodes) || e.To < 0 || e.To >= len(g.Nodes) {
+	for root := 0; root < n; root++ {
+		if color[root] != white {
 			continue
 		}
-		succ[e.From] = append(succ[e.From], i)
-	}
-	color := make([]int, len(g.Nodes))
-	parent := make([]int, len(g.Nodes))
-	for i := range parent {
-		parent[i] = -1
-	}
-	var cycle []int
-	var dfs func(u int) bool
-	dfs = func(u int) bool {
-		color[u] = gray
-		for _, ei := range succ[u] {
-			e := g.Edges[ei]
-			if e.Distance != 0 {
+		color[root] = gray
+		stack = append(stack, int32(root), off[root])
+		for len(stack) > 0 {
+			top := len(stack) - 2
+			u, p := stack[top], stack[top+1]
+			if p == off[u+1] {
+				color[u] = black
+				stack = stack[:top]
 				continue
 			}
-			v := e.To
-			switch color[v] {
+			stack[top+1]++
+			switch v := to[p]; color[v] {
 			case white:
-				parent[v] = u
-				if dfs(v) {
-					return true
-				}
+				color[v] = gray
+				stack = append(stack, v, off[v])
 			case gray:
-				// Found a back edge u -> v along distance-0 edges.
-				cycle = []int{v}
-				for w := u; w != v && w != -1; w = parent[w] {
-					cycle = append(cycle, w)
+				cycle := []int{int(v)}
+				for k := top; stack[k] != v; k -= 2 {
+					cycle = append(cycle, int(stack[k]))
 				}
-				return true
+				return cycle
 			}
-		}
-		color[u] = black
-		return false
-	}
-	for i := range g.Nodes {
-		if color[i] == white && dfs(i) {
-			return cycle
 		}
 	}
 	return nil

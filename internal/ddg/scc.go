@@ -1,6 +1,9 @@
 package ddg
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // SCC is a strongly connected component of the dependence graph.
 // A component is "non-trivial" when it represents a recurrence: it has
@@ -37,87 +40,91 @@ func (g *Graph) sccs() *sccCache {
 	return c
 }
 
+// computeSCCs runs Tarjan's algorithm over one scratch slab (the DFS
+// index and lowlink per node, the component stack and the work stack of
+// (node, next out-edge) frames, reused across roots). Members are
+// carved from one slab and components from one backing array.
 func (g *Graph) computeSCCs() []*SCC {
 	n := len(g.Nodes)
+	if n == 0 {
+		return nil
+	}
 	adj := g.adjacencyCache()
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
+	scratch := make([]int, 5*n)
+	index, low := scratch[:n], scratch[n:2*n]
+	stack := scratch[2*n : 2*n : 3*n]
+	work := scratch[3*n : 3*n] // (v, next out-edge index) pairs
 	for i := range index {
 		index[i] = -1
 	}
-	var (
-		stack   []int
-		counter int
-		out     []*SCC
-	)
-
-	type frame struct {
-		v  int
-		ei int // next out-edge index to examine
+	// done marks a node whose component has been emitted (off the
+	// stack); it compares above every lowlink, so such a node never
+	// lowers one.
+	const done = math.MaxInt
+	members := make([]int, 0, n)
+	comps := make([]SCC, 0, n)
+	counter := 0
+	visit := func(v int) {
+		index[v] = counter
+		low[v] = counter
+		counter++
+		stack = append(stack, v)
+		work = append(work, v, 0)
 	}
 
 	for root := 0; root < n; root++ {
 		if index[root] != -1 {
 			continue
 		}
-		work := []frame{{v: root}}
-		index[root] = counter
-		low[root] = counter
-		counter++
-		stack = append(stack, root)
-		onStack[root] = true
-
+		visit(root)
 		for len(work) > 0 {
-			f := &work[len(work)-1]
-			v := f.v
-			if f.ei < len(adj.out[v]) {
-				e := adj.out[v][f.ei]
-				f.ei++
-				w := e.To
+			top := len(work) - 2
+			v, ei := work[top], work[top+1]
+			if out := adj.out(v); ei < len(out) {
+				work[top+1]++
+				w := out[ei].To
 				if index[w] == -1 {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					work = append(work, frame{v: w})
-				} else if onStack[w] && index[w] < low[v] {
+					visit(w)
+				} else if index[w] < low[v] {
 					low[v] = index[w]
 				}
 				continue
 			}
-			work = work[:len(work)-1]
-			if len(work) > 0 {
-				p := work[len(work)-1].v
-				if low[v] < low[p] {
+			work = work[:top]
+			if top > 0 {
+				if p := work[top-2]; low[v] < low[p] {
 					low[p] = low[v]
 				}
 			}
 			if low[v] == index[v] {
-				var comp []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
+				j := len(stack) - 1
+				for stack[j] != v {
+					j--
 				}
+				lo := len(members)
+				members = append(members, stack[j:]...)
+				for _, w := range stack[j:] {
+					index[w] = done
+				}
+				stack = stack[:j]
+				comp := members[lo:len(members):len(members)]
 				sort.Ints(comp)
-				scc := &SCC{Nodes: comp}
+				scc := SCC{Nodes: comp}
 				if len(comp) == 1 {
-					for _, e := range adj.out[comp[0]] {
+					for _, e := range adj.out(comp[0]) {
 						if e.To == comp[0] {
 							scc.Self = true
 							break
 						}
 					}
 				}
-				out = append(out, scc)
+				comps = append(comps, scc)
 			}
 		}
+	}
+	out := make([]*SCC, len(comps))
+	for i := range comps {
+		out[i] = &comps[i]
 	}
 	return out
 }

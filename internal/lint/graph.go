@@ -23,44 +23,62 @@ func Graph(g *ddg.Graph) []diag.Diagnostic {
 	diags := g.Lint()
 	var r diag.Reporter
 
+	// An out-of-range endpoint (already a Lint error) rules out the
+	// graph's adjacency lists, so such graphs take the general paths.
+	inRange := true
+	for _, e := range g.Edges {
+		if e.From < 0 || e.From >= g.NumNodes() || e.To < 0 || e.To >= g.NumNodes() {
+			inRange = false
+			break
+		}
+	}
+
 	// Two identical edges are idiomatic — one value feeding both
 	// operands of a consumer (x*x). Three or more identical records
 	// cannot all be operand uses and indicate a redundant dependence.
-	count := make(map[ddg.Edge]int, len(g.Edges))
-	for _, e := range g.Edges {
-		count[e]++
-	}
-	for i, e := range g.Edges {
-		if c := count[e]; c > 2 {
-			count[e] = -1 // report each offending dependence once, at its first edge
-			dups := make([]int, 0, c)
-			for j, e2 := range g.Edges {
-				if e2 == e {
-					dups = append(dups, j)
+	if !inRange || pairRecordedThrice(g) {
+		count := make(map[ddg.Edge]int, len(g.Edges))
+		for _, e := range g.Edges {
+			count[e]++
+		}
+		for i, e := range g.Edges {
+			if c := count[e]; c > 2 {
+				count[e] = -1 // report each offending dependence once, at its first edge
+				dups := make([]int, 0, c)
+				for j, e2 := range g.Edges {
+					if e2 == e {
+						dups = append(dups, j)
+					}
 				}
+				r.Report(diag.Diagnostic{
+					Code: CodeDuplicateEdge, Severity: diag.Warning,
+					Subject: fmt.Sprintf("edge %d", i),
+					Message: fmt.Sprintf("dependence n%d -> n%d dist=%d is recorded %d times (edges %v)",
+						e.From, e.To, e.Distance, c, dups),
+					Fix: "record a dependence once per operand use; drop the redundant edges",
+				})
 			}
-			r.Report(diag.Diagnostic{
-				Code: CodeDuplicateEdge, Severity: diag.Warning,
-				Subject: fmt.Sprintf("edge %d", i),
-				Message: fmt.Sprintf("dependence n%d -> n%d dist=%d is recorded %d times (edges %v)",
-					e.From, e.To, e.Distance, c, dups),
-				Fix: "record a dependence once per operand use; drop the redundant edges",
-			})
 		}
 	}
 
 	if g.NumNodes() > 1 {
-		degree := make([]int, g.NumNodes())
-		for _, e := range g.Edges {
-			if e.From >= 0 && e.From < g.NumNodes() {
-				degree[e.From]++
+		isolated := func(i int) bool {
+			return len(g.OutEdges(i)) == 0 && len(g.InEdges(i)) == 0
+		}
+		if !inRange {
+			degree := make([]int, g.NumNodes())
+			for _, e := range g.Edges {
+				if e.From >= 0 && e.From < g.NumNodes() {
+					degree[e.From]++
+				}
+				if e.To >= 0 && e.To < g.NumNodes() {
+					degree[e.To]++
+				}
 			}
-			if e.To >= 0 && e.To < g.NumNodes() {
-				degree[e.To]++
-			}
+			isolated = func(i int) bool { return degree[i] == 0 }
 		}
 		for i, n := range g.Nodes {
-			if n == nil || degree[i] > 0 {
+			if n == nil || !isolated(i) {
 				continue
 			}
 			// The loop-closing branch legitimately carries no data
@@ -89,4 +107,35 @@ func Graph(g *ddg.Graph) []diag.Diagnostic {
 	}
 
 	return append(diags, r.Diagnostics()...)
+}
+
+// pairRecordedThrice reports whether some node has three or more
+// out-edges to the same consumer, whatever their distances: the
+// precondition of a duplicate-edge finding, checked without building
+// the edge map. A node needs at least two more out-edges than distinct
+// successors to qualify, so per-consumer counts are taken only there.
+// The graph's endpoints must all be in range.
+func pairRecordedThrice(g *ddg.Graph) bool {
+	var count []int32
+	for u := 0; u < g.NumNodes(); u++ {
+		out := g.OutEdges(u)
+		if len(out)-len(g.Successors(u)) < 2 {
+			continue
+		}
+		if count == nil {
+			count = make([]int32, g.NumNodes())
+		}
+		found := false
+		for _, e := range out {
+			count[e.To]++
+			found = found || count[e.To] > 2
+		}
+		for _, e := range out {
+			count[e.To] = 0
+		}
+		if found {
+			return true
+		}
+	}
+	return false
 }

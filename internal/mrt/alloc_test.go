@@ -39,6 +39,20 @@ func TestCapacityHotPathAllocFree(t *testing.T) {
 	}
 }
 
+// CopyFrom runs twice per assignment probe (snapshot and restore), so
+// it must stay a copy between existing counter slabs.
+func TestCapacityCopyFromAllocFree(t *testing.T) {
+	m := machine.NewGrid4(2)
+	src := NewCapacity(m, 3)
+	src.CommitOp(OpAt(0, 0, ddg.OpALU), 0)
+	src.CommitOp(CopyAt(1, 0, []int{1}), 0)
+	dst := NewCapacity(m, 7)
+	dst.EnableJournal()
+	if n := testing.AllocsPerRun(200, func() { dst.CopyFrom(src) }); n != 0 {
+		t.Errorf("Capacity.CopyFrom allocates %.1f/op, want 0", n)
+	}
+}
+
 func TestCycleHotPathAllocFree(t *testing.T) {
 	m := machine.NewBusedGP(3, 2, 2)
 	c := NewCycle(m, 4)

@@ -46,7 +46,8 @@ type Capacity struct {
 	linkTab []int   // [src*nc+dst] -> link index, or -1
 	linksAt [][]int // [cl] -> incident link indices
 
-	// Usage counters and per-II capacities, all carved from one slab.
+	// Usage counters and per-II capacities, all carved from counters.
+	counters  []int
 	fuUsed    []int // [cl*numFU+class] slot-cycles consumed
 	fuCap     []int // [cl*numFU+class] total slot-cycles (= count * II)
 	freeFU    []int // [cl] aggregate free FU slot-cycles (all classes)
@@ -82,8 +83,9 @@ func NewCapacity(m *machine.Config, ii int) *Capacity {
 	c.linkTab = p.linkTab
 	c.linksAt = p.linksAt
 
-	// All counters live in one slab.
-	slab := make([]int, 2*nc*numFU+7*nc+2*nl)
+	// All counters live in one slab, so CopyFrom is one copy.
+	slab := make([]int, 2*nc*numFU+7*nc+nl)
+	c.counters = slab
 	carve := func(n int) []int {
 		s := slab[:n:n]
 		slab = slab[n:]
@@ -98,7 +100,6 @@ func NewCapacity(m *machine.Config, ii int) *Capacity {
 	c.writeCap = carve(nc)
 	c.linkUsed = carve(nl)
 	c.linkFree = carve(nc)
-	_ = carve(nl) // reserved
 
 	c.ResetII(ii)
 	return c
@@ -436,15 +437,7 @@ func (c *Capacity) CopyFrom(src *Capacity) {
 		panic("mrt: Capacity.CopyFrom across machines")
 	}
 	c.ii = src.ii
-	copy(c.fuUsed, src.fuUsed)
-	copy(c.fuCap, src.fuCap)
-	copy(c.freeFU, src.freeFU)
-	copy(c.readUsed, src.readUsed)
-	copy(c.readCap, src.readCap)
-	copy(c.writeUsed, src.writeUsed)
-	copy(c.writeCap, src.writeCap)
-	copy(c.linkUsed, src.linkUsed)
-	copy(c.linkFree, src.linkFree)
+	copy(c.counters, src.counters)
 	c.busUsed = src.busUsed
 	c.busCap = src.busCap
 	c.JournalReset()

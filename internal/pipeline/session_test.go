@@ -470,4 +470,14 @@ func BenchmarkSessionSchedule(b *testing.B) {
 			}
 		}
 	})
+	// One op is one warm Session.Schedule call: the paper's suite on the
+	// three headline machines, each session already past a full pass.
+	b.Run("session-warm-3machines", func(b *testing.B) {
+		w := newWarmSuite(loopgen.DefaultCount)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.schedule(i % w.pairs())
+		}
+	})
 }

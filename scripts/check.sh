@@ -13,9 +13,10 @@ go test ./...
 go run ./cmd/schedvet ./...
 # Race pass over every package that runs goroutines (worker pools,
 # shared observers, the daemon and its cache, the speculative II
-# search and batch sharding) plus the public API that feeds them, and
-# the assignment engine's differential/fuzz-seed tests.
-go test -race ./internal/pool/ ./internal/obs/ ./internal/experiments/ ./internal/explore/ ./internal/cache/ ./internal/server/ ./internal/assign/ ./internal/pipeline/ ./internal/compile/ .
+# search and batch sharding) plus the public API that feeds them, the
+# dependence graph's lazily built caches (concurrent readers race to
+# build them), and the assignment engine's differential/fuzz-seed tests.
+go test -race ./internal/ddg/ ./internal/pool/ ./internal/obs/ ./internal/experiments/ ./internal/explore/ ./internal/cache/ ./internal/server/ ./internal/assign/ ./internal/pipeline/ ./internal/compile/ .
 # Compile-corpus oracle: every kernel the streaming executor emits for
 # the regression corpus must execute functionally identical to the
 # naive non-pipelined loop (sim cross-validation plus the Livermore
