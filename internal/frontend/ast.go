@@ -34,48 +34,32 @@ type LoopSyntax struct {
 // loop, without compiling to dependence graphs. Parse errors are the
 // same the compiler reports.
 func ParseSyntax(src string) ([]LoopSyntax, error) {
-	toks, err := lex(src)
+	p, err := parse(src)
 	if err != nil {
 		return nil, err
 	}
-	asts, err := parseProgram(toks)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]LoopSyntax, 0, len(asts))
-	for _, ast := range asts {
-		l := LoopSyntax{Name: ast.name, Line: ast.line}
-		for _, st := range ast.body {
-			s := Stmt{
-				Line: st.line,
-				Target: Ref{
-					Name:   st.target.name,
-					Array:  st.target.array,
-					Offset: st.target.offset,
-					Line:   st.target.line,
-				},
+	out := make([]LoopSyntax, len(p.loops))
+	for li := range p.loops {
+		l := &p.loops[li]
+		out[li] = LoopSyntax{Name: p.src[l.name.start:l.name.end], Line: int(l.line)}
+		for _, st := range p.stmts[l.stmts.lo:l.stmts.hi] {
+			s := Stmt{Line: int(st.line), Target: Ref{Name: p.name(l, st.target), Line: int(st.line)}}
+			if st.elem >= 0 {
+				s.Target.Array, s.Target.Offset = true, p.elems[l.elems.lo+st.elem].offset
 			}
-			collectReads(st.rhs, &s.Reads)
-			l.Stmts = append(l.Stmts, s)
+			// The leaves of the right-hand side's run are its reads, in
+			// source order.
+			for _, e := range p.exprs[st.rhs.lo:st.rhs.hi] {
+				switch e.kind {
+				case exprScalar:
+					s.Reads = append(s.Reads, Ref{Name: p.name(l, e.ref), Line: int(e.line)})
+				case exprArray:
+					el := p.elems[l.elems.lo+e.ref]
+					s.Reads = append(s.Reads, Ref{Name: p.name(l, el.name), Array: true, Offset: el.offset, Line: int(e.line)})
+				}
+			}
+			out[li].Stmts = append(out[li].Stmts, s)
 		}
-		out = append(out, l)
 	}
 	return out, nil
-}
-
-// collectReads appends every scalar and array reference of e in
-// evaluation order.
-func collectReads(e *expr, out *[]Ref) {
-	if e == nil {
-		return
-	}
-	switch e.kind {
-	case exprScalar:
-		*out = append(*out, Ref{Name: e.name, Line: e.line})
-	case exprArray:
-		*out = append(*out, Ref{Name: e.name, Array: true, Offset: e.offset, Line: e.line})
-	}
-	for _, a := range e.args {
-		collectReads(a, out)
-	}
 }

@@ -2,6 +2,9 @@ package frontend
 
 import (
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 
 	"clustersched/internal/ddg"
 )
@@ -43,258 +46,364 @@ func Compile(src string) ([]Loop, error) {
 	return out, nil
 }
 
-// Program is a parsed translation unit: one syntax tree per loop, in
-// source order. It is read-only once Parse returns, so Build may run
-// for different loops on different goroutines.
+// Program is a parsed translation unit: the source and the syntax
+// slabs of its loops, in source order. It is read-only once Parse
+// returns, so Build may run for different loops on different
+// goroutines.
 type Program struct {
+	src   string
 	loops []loopAST
+	stmts []statement
+	exprs []expr
+	names []span    // every loop's name table, back to back
+	elems []element // every loop's element table, back to back
 }
 
 // Parse lexes and parses the whole source without building any
 // dependence graph. It reports every lexical and syntax error Compile
 // reports, and rejects a source with no loops.
 func Parse(src string) (*Program, error) {
-	toks, err := lex(src)
+	prog, err := parse(src)
 	if err != nil {
 		return nil, err
 	}
-	asts, err := parseProgram(toks)
-	if err != nil {
-		return nil, err
-	}
-	if len(asts) == 0 {
+	if len(prog.loops) == 0 {
 		return nil, fmt.Errorf("frontend: no loops in source")
 	}
-	return &Program{loops: asts}, nil
+	return prog, nil
 }
 
 // Len is the number of loops in the program.
 func (p *Program) Len() int { return len(p.loops) }
 
+// name is the text of a loop-local name ID of loop l.
+func (p *Program) name(l *loopAST, id int32) string {
+	s := p.names[l.names.lo+id]
+	return p.src[s.start:s.end]
+}
+
 // Build compiles loop i of the program to its dependence graph. It
 // only reads the program, so concurrent calls are safe.
 func (p *Program) Build(i int) (Loop, error) {
-	ast := &p.loops[i]
-	g, err := compileLoop(ast)
-	if err != nil {
-		return Loop{}, err
+	l := &p.loops[i]
+	name := p.src[l.name.start:l.name.end]
+	g := p.compileLoop(l)
+	if err := g.Validate(); err != nil {
+		return Loop{}, fmt.Errorf("frontend: loop %q compiles to an unschedulable graph (%v); "+
+			"a value would have to flow backwards within one iteration", name, err)
 	}
-	return Loop{Name: ast.name, Graph: g, Line: ast.line}, nil
+	return Loop{Name: name, Graph: g, Line: int(l.line)}, nil
 }
+
+// absent marks an empty slot of the ID-indexed build tables; every
+// value a slot can hold (a node, -1 for a constant, a carried marker
+// below -1) lies above it.
+const absent = math.MinInt32
 
 // access records one array access for memory-dependence analysis.
 type access struct {
-	node   int // load or store node
-	store  bool
-	offset int
-	stmt   int // statement index, for same-iteration ordering
+	node  int32 // load or store node
+	elem  int32
+	stmt  int32 // statement index, for same-iteration ordering
+	array int32 // the array's index in first-access order
+	store bool
 }
 
-// element is one array element of an iteration: array[i+offset].
-type element struct {
-	array  string
-	offset int
-}
-
-// carriedUse is a scalar read whose definition comes later in the
-// body: it uses the previous iteration's value.
-type carriedUse struct {
-	consumer int
-	name     string
-}
-
+// compiler is the state of one Build. Its tables are runs of one int32
+// slab indexed by the loop's dense name and element IDs.
 type compiler struct {
-	g            *ddg.Graph
-	lastDef      map[string]int  // scalar -> defining node so far (-1: constant)
-	definedIn    map[string]bool // scalar assigned anywhere in the body
-	loads        map[element]int // load node of each element read this iteration
-	stored       map[element]int // value node stored to each element this iteration
-	arrayOf      map[string]int  // array -> index into arrays
-	arrays       [][]access      // accesses per array, arrays in first-access order
-	carriedNames []string        // names behind negative value markers
-	carried      []carriedUse    // resolved loop-carried uses
-	stmt         int
+	p *Program
+	l *loopAST
+	g *ddg.Graph
+
+	lastDef      []int32 // name -> defining node so far (-1: constant), or absent
+	defined      []int32 // name -> 1 when the body assigns the scalar
+	arrayOf      []int32 // name -> array index in first-access order, or -1
+	loads        []int32 // element -> its load node this iteration, or absent
+	stored       []int32 // element -> value stored to it this iteration, or absent
+	nameEnd      []int32 // element e's node name is nodeNames[nameEnd[e]:nameEnd[e+1]]
+	carriedNames []int32 // names behind negative value markers
+	carried      []int32 // loop-carried uses, as (consumer, name) pairs
+	groupEnd     []int32 // per array, the end of its run of grouped accesses
+	accs         []access
+	arrays       int32
+	nodeNames    string
+	stmt         int32
 }
 
-func compileLoop(ast *loopAST) (*ddg.Graph, error) {
+func (p *Program) compileLoop(l *loopAST) *ddg.Graph {
+	names, elems := int(l.names.len()), int(l.elems.len())
+	slab := make([]int32, 5*names+1+3*elems+1+int(l.scalars)+2*int(l.operands))
+	cut := func(n int) []int32 {
+		s := slab[:n:n]
+		slab = slab[n:]
+		return s
+	}
 	c := &compiler{
-		g:         ddg.NewGraph(len(ast.body)*4, len(ast.body)*6),
-		lastDef:   map[string]int{},
-		definedIn: map[string]bool{},
-		loads:     map[element]int{},
-		stored:    map[element]int{},
-		arrayOf:   map[string]int{},
+		p:        p,
+		l:        l,
+		g:        ddg.NewGraph(int(l.loads+l.stores+l.ops+1), int(l.operands)),
+		lastDef:  cut(names),
+		defined:  cut(names),
+		arrayOf:  cut(names),
+		groupEnd: cut(2*names + 1),
+		loads:    cut(elems),
+		stored:   cut(elems),
+		nameEnd:  cut(elems + 1),
 	}
-	for _, st := range ast.body {
-		if !st.target.array {
-			c.definedIn[st.target.name] = true
+	c.carriedNames = cut(int(l.scalars))[:0]
+	c.carried = cut(2 * int(l.operands))[:0]
+	c.accs = make([]access, 0, 2*int(l.loads+l.stores))
+	for k := range c.lastDef {
+		c.lastDef[k], c.arrayOf[k] = absent, -1
+	}
+	for k := range c.loads {
+		c.loads[k], c.stored[k] = absent, absent
+	}
+	c.nameElements()
+
+	stmts := p.stmts[l.stmts.lo:l.stmts.hi]
+	for _, st := range stmts {
+		if st.elem < 0 {
+			c.defined[st.target] = 1
 		}
 	}
-	for i, st := range ast.body {
-		c.stmt = i
-		value, err := c.emitExpr(st.rhs)
-		if err != nil {
-			return nil, err
-		}
-		if st.target.array {
-			store := c.g.AddNode(ddg.OpStore, subscriptName(st.target.name, st.target.offset))
+	for i, st := range stmts {
+		c.stmt = int32(i)
+		value := c.emitExpr(st.rhs)
+		if st.elem >= 0 {
+			store := c.addNode(ddg.OpStore, st.elem)
 			c.attach(value, store)
-			key := element{st.target.name, st.target.offset}
-			c.stored[key] = value
-			delete(c.loads, key) // a reload after the store sees the new value
-			c.record(st.target.name, access{node: store, store: true, offset: st.target.offset, stmt: i})
+			c.stored[st.elem] = value
+			c.loads[st.elem] = absent // a reload after the store sees the new value
+			c.record(st.elem, store, true)
 		} else {
-			c.lastDef[st.target.name] = value // -1 when constant: folds away
+			c.lastDef[st.target] = value // -1 when constant: folds away
 		}
 	}
 	// Loop-carried scalar uses: previous iteration's final definition.
 	// Markers can chain through scalar aliases (t = s); resolve until a
 	// real node or a constant appears.
-	for _, u := range c.carried {
-		def, ok := c.lastDef[u.name]
-		for hops := 0; ok && def < -1 && hops <= len(c.carriedNames); hops++ {
-			def, ok = c.lastDef[c.carriedNames[-2-def]]
+	for k := 0; k < len(c.carried); k += 2 {
+		consumer, def := c.carried[k], c.lastDef[c.carried[k+1]]
+		for hops := 0; def != absent && def < -1 && hops <= len(c.carriedNames); hops++ {
+			def = c.lastDef[c.carriedNames[-2-def]]
 		}
-		if ok && def >= 0 {
-			c.g.AddEdge(def, u.consumer, 1)
+		if def >= 0 {
+			c.g.AddEdge(int(def), int(consumer), 1)
 		}
 	}
-	c.memoryDependences()
+	c.memoryDependences(c.groupAccesses())
 	c.g.AddNode(ddg.OpBranch, "loop")
-	if err := c.g.Validate(); err != nil {
-		return nil, fmt.Errorf("frontend: loop %q compiles to an unschedulable graph (%v); "+
-			"a value would have to flow backwards within one iteration", ast.name, err)
-	}
-	return c.g, nil
+	return c.g
 }
 
-// emitExpr generates nodes for an expression and returns the node
-// producing its value, or -1 when the value is compile-time constant
-// or loop-invariant (no in-loop producer).
-func (c *compiler) emitExpr(e *expr) (int, error) {
-	switch e.kind {
-	case exprNumber:
-		return -1, nil
-	case exprScalar:
-		if def, ok := c.lastDef[e.name]; ok {
-			return def, nil
-		}
-		if c.definedIn[e.name] {
-			// Defined later in the body: previous iteration's value.
-			// The consumer edge is attached by the caller through a
-			// pass-through marker; represent the value by a deferred
-			// carried use bound when the consumer node exists. Since
-			// expressions consume values at operation nodes, we return
-			// a special marker resolved in emitBinary/emitCall/store.
-			return c.carriedMarker(e), nil
-		}
-		return -1, nil // loop invariant, lives in a register
-	case exprArray:
-		key := element{e.name, e.offset}
-		if v, ok := c.stored[key]; ok {
-			return v, nil // store-to-load forwarding
-		}
-		if ld, ok := c.loads[key]; ok {
-			return ld, nil // common-subexpression load
-		}
-		ld := c.g.AddNode(ddg.OpLoad, subscriptName(e.name, e.offset))
-		c.loads[key] = ld
-		c.record(e.name, access{node: ld, offset: e.offset, stmt: c.stmt})
-		return ld, nil
-	case exprBinary:
-		left, err := c.emitExpr(e.args[0])
-		if err != nil {
-			return 0, err
-		}
-		right, err := c.emitExpr(e.args[1])
-		if err != nil {
-			return 0, err
-		}
-		var kind ddg.OpKind
-		switch e.op {
-		case '+', '-':
-			kind = ddg.OpFAdd
-		case '*':
-			kind = ddg.OpFMul
-		case '/':
-			kind = ddg.OpFDiv
-		default:
-			return 0, fmt.Errorf("frontend: line %d: unknown operator %q", e.line, string(e.op))
-		}
-		op := c.g.AddNode(kind, "")
-		c.attach(left, op)
-		c.attach(right, op)
-		return op, nil
-	case exprCall:
-		kind := ddg.OpFSqrt
-		if e.name == "select" {
-			// IF-converted conditional move: an integer-unit operation
-			// consuming the predicate and both arms.
-			kind = ddg.OpALU
-		}
-		op := c.g.AddNode(kind, e.name)
-		for _, a := range e.args {
-			v, err := c.emitExpr(a)
-			if err != nil {
-				return 0, err
-			}
-			c.attach(v, op)
-		}
-		return op, nil
+// nameElements renders the node name of every element of the loop
+// into one string.
+func (c *compiler) nameElements() {
+	var digits [24]byte
+	elems := c.p.elems[c.l.elems.lo:c.l.elems.hi]
+	size := 0
+	for _, e := range elems {
+		size += len(c.p.name(c.l, e.name)) + len(appendSubscript(digits[:0], e.offset))
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for k, e := range elems {
+		b.WriteString(c.p.name(c.l, e.name))
+		b.Write(appendSubscript(digits[:0], e.offset))
+		c.nameEnd[k+1] = int32(b.Len())
+	}
+	c.nodeNames = b.String()
+}
+
+// appendSubscript appends the subscript of element name[i+offset]:
+// "[i]", "[i+k]" or "[i-k]".
+func appendSubscript(dst []byte, offset int) []byte {
+	switch {
+	case offset > 0:
+		dst = append(dst, "[i+"...)
+	case offset < 0:
+		dst = append(dst, "[i"...)
 	default:
-		return 0, fmt.Errorf("frontend: line %d: unknown expression", e.line)
+		return append(dst, "[i]"...)
 	}
+	return append(strconv.AppendInt(dst, int64(offset), 10), ']')
 }
 
-// Carried scalar reads are encoded as negative markers below -1: the
-// marker indexes c.carriedNames, and every attach of the marker
-// records one loop-carried use resolved after the whole body is
-// compiled (the definition is the body's final one for that scalar).
-func (c *compiler) carriedMarker(e *expr) int {
-	c.carriedNames = append(c.carriedNames, e.name)
-	return -2 - (len(c.carriedNames) - 1)
+// addNode adds a load or store of element e.
+func (c *compiler) addNode(kind ddg.OpKind, e int32) int32 {
+	return int32(c.g.AddNode(kind, c.nodeNames[c.nameEnd[e]:c.nameEnd[e+1]]))
+}
+
+// callFrame is a call whose argument values are still being emitted.
+type callFrame struct {
+	expr, node int32
+	next       int // index of the argument whose root comes next
+}
+
+// emitExpr generates the nodes of a right-hand side and returns the
+// node producing its value, or -1 when the value is compile-time
+// constant or loop-invariant (no in-loop producer). It walks the run
+// of expression nodes in order with a value stack, so no expression
+// shape deepens the goroutine stack.
+func (c *compiler) emitExpr(rhs run) int32 {
+	var valBuf [32]int32
+	var frameBuf [8]callFrame
+	vals, frames := valBuf[:0], frameBuf[:0]
+	exprs := c.p.exprs
+walk:
+	for k := rhs.lo; k < rhs.hi; k++ {
+		e := &exprs[k]
+		var v int32
+		switch e.kind {
+		case exprNumber:
+			v = -1
+		case exprScalar:
+			v = c.scalar(e.ref)
+		case exprArray:
+			v = c.load(e.ref)
+		case exprBinary:
+			kind := ddg.OpFAdd
+			switch e.op {
+			case '*':
+				kind = ddg.OpFMul
+			case '/':
+				kind = ddg.OpFDiv
+			}
+			n := len(vals)
+			left, right := vals[n-2], vals[n-1]
+			vals = vals[:n-2]
+			v = int32(c.g.AddNode(kind, ""))
+			c.attach(left, v)
+			c.attach(right, v)
+		case exprCall:
+			kind := ddg.OpFSqrt
+			if e.op == callSelect {
+				// IF-converted conditional move: an integer-unit
+				// operation consuming the predicate and both arms.
+				kind = ddg.OpALU
+			}
+			node := int32(c.g.AddNode(kind, builtinNames[e.op]))
+			frames = append(frames, callFrame{expr: k, node: node})
+			continue
+		}
+		// A finished argument feeds its call; a call whose last
+		// argument it was is finished in turn.
+		for at := k; len(frames) > 0; {
+			f := &frames[len(frames)-1]
+			call := &exprs[f.expr]
+			if call.args[f.next] != at {
+				break
+			}
+			c.attach(v, f.node)
+			if f.next++; f.next < builtinArity[call.op] {
+				continue walk
+			}
+			at, v = f.expr, f.node
+			frames = frames[:len(frames)-1]
+		}
+		vals = append(vals, v)
+	}
+	return vals[0]
+}
+
+// scalar is the value of a scalar read.
+func (c *compiler) scalar(name int32) int32 {
+	if def := c.lastDef[name]; def != absent {
+		return def
+	}
+	if c.defined[name] != 0 {
+		// Defined later in the body: the previous iteration's value,
+		// represented by a marker that every attach records as a
+		// loop-carried use, bound once the whole body is compiled.
+		c.carriedNames = append(c.carriedNames, name)
+		return -2 - int32(len(c.carriedNames)-1)
+	}
+	return -1 // loop invariant, lives in a register
+}
+
+// load is the value of an array read.
+func (c *compiler) load(e int32) int32 {
+	if v := c.stored[e]; v != absent {
+		return v // store-to-load forwarding
+	}
+	if ld := c.loads[e]; ld != absent {
+		return ld // common-subexpression load
+	}
+	ld := c.addNode(ddg.OpLoad, e)
+	c.loads[e] = ld
+	c.record(e, ld, false)
+	return ld
 }
 
 // attach wires a produced value (node ID, constant -1, or carried
 // marker) into the consumer node.
-func (c *compiler) attach(value, consumer int) {
+func (c *compiler) attach(value, consumer int32) {
 	switch {
 	case value >= 0:
-		c.g.AddEdge(value, consumer, 0)
+		c.g.AddEdge(int(value), int(consumer), 0)
 	case value == -1:
 		// constant or invariant: no dependence
 	default:
-		c.carried = append(c.carried, carriedUse{consumer: consumer, name: c.carriedNames[-2-value]})
+		c.carried = append(c.carried, consumer, c.carriedNames[-2-value])
 	}
 }
 
-// record appends an access to its array's list, opening the list on
-// the array's first access.
-func (c *compiler) record(array string, a access) {
-	k, ok := c.arrayOf[array]
-	if !ok {
-		k = len(c.arrays)
-		c.arrayOf[array] = k
-		c.arrays = append(c.arrays, nil)
+// record appends an access, numbering its array on the array's first
+// access.
+func (c *compiler) record(e, node int32, store bool) {
+	name := c.p.elems[c.l.elems.lo+e].name
+	if c.arrayOf[name] < 0 {
+		c.arrayOf[name] = c.arrays
+		c.arrays++
 	}
-	c.arrays[k] = append(c.arrays[k], a)
+	c.accs = append(c.accs, access{node: node, elem: e, stmt: c.stmt, array: c.arrayOf[name], store: store})
 }
 
-// memoryDependences adds RAW, WAR, and WAW edges between accesses to
-// the same array. Access A at subscript i+oa and access B at i+ob
-// touch the same element when B's iteration runs oa-ob iterations
-// after A's; a dependence exists when that distance is positive, or
-// zero with A preceding B in the body. Arrays are walked in
-// first-access order, so the edge order — which cache keys hash — is
-// the same on every compile.
-func (c *compiler) memoryDependences() {
-	for _, accs := range c.arrays {
-		for ai, a := range accs {
-			for bi, b := range accs {
+// groupAccesses counting-sorts the accesses by array, arrays in
+// first-access order and each array's accesses in record order, into
+// the back half of the access slab, and returns that half.
+func (c *compiler) groupAccesses() []access {
+	n := len(c.accs)
+	grouped := c.accs[n : 2*n : 2*n]
+	end := c.groupEnd[:c.arrays+1]
+	for _, a := range c.accs {
+		end[a.array+1]++
+	}
+	for k := int32(1); k <= c.arrays; k++ {
+		end[k] += end[k-1]
+	}
+	fill := c.groupEnd[c.arrays+1 : 2*c.arrays+1]
+	copy(fill, end)
+	for _, a := range c.accs {
+		grouped[fill[a.array]] = a
+		fill[a.array]++
+	}
+	return grouped
+}
+
+// memoryDependences adds the RAW, WAR and WAW edges between accesses
+// to the same array. Access A at subscript
+// i+oa and access B at i+ob touch the same element when B's iteration
+// runs oa-ob iterations after A's; a dependence exists when that
+// distance is positive, or zero with A preceding B in the body.
+// Arrays are walked in first-access order, so the edge order — which
+// cache keys hash — is the same on every compile.
+func (c *compiler) memoryDependences(grouped []access) {
+	elems := c.p.elems[c.l.elems.lo:c.l.elems.hi]
+	lo := int32(0)
+	for _, hi := range c.groupEnd[1 : c.arrays+1] {
+		accs := grouped[lo:hi]
+		lo = hi
+		for ai := range accs {
+			a := &accs[ai]
+			for bi := range accs {
+				b := &accs[bi]
 				if ai == bi || (!a.store && !b.store) {
 					continue
 				}
-				d := a.offset - b.offset
+				d := elems[a.elem].offset - elems[b.elem].offset
 				if d < 0 || (d == 0 && a.stmt >= b.stmt) {
 					continue
 				}
@@ -304,19 +413,8 @@ func (c *compiler) memoryDependences() {
 					// different element, excluded by d == 0.
 					continue
 				}
-				c.g.AddEdge(a.node, b.node, d)
+				c.g.AddEdge(int(a.node), int(b.node), d)
 			}
 		}
-	}
-}
-
-func subscriptName(array string, offset int) string {
-	switch {
-	case offset > 0:
-		return fmt.Sprintf("%s[i+%d]", array, offset)
-	case offset < 0:
-		return fmt.Sprintf("%s[i%d]", array, offset)
-	default:
-		return array + "[i]"
 	}
 }

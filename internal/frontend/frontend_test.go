@@ -1,14 +1,18 @@
 package frontend_test
 
 import (
+	"fmt"
 	"reflect"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 
 	"clustersched/internal/assign"
 	"clustersched/internal/compile"
 	"clustersched/internal/ddg"
 	"clustersched/internal/frontend"
+	"clustersched/internal/livermore"
 	"clustersched/internal/loopgen"
 	"clustersched/internal/machine"
 	"clustersched/internal/mii"
@@ -312,5 +316,155 @@ func TestCompileEdgeOrderIsDeterministic(t *testing.T) {
 				t.Fatalf("compile %d: loop %s edges %v, first compile had %v", run, l.Name, l.Graph.Edges, first[i].Graph.Edges)
 			}
 		}
+	}
+}
+
+// TestFrontendMatchesOracle holds Compile and ParseSyntax to the
+// frontend they replaced on Livermore, on generated corpora of several
+// seeds and sizes, on FuzzCompile's seeds and on every error the
+// language reports.
+func TestFrontendMatchesOracle(t *testing.T) {
+	srcs := map[string]string{
+		"livermore":        livermore.Source(),
+		"livermore+corpus": livermore.Source() + compile.GeneratedSource(),
+	}
+	for _, seed := range []int64{1, 7, compile.CorpusSeed, 42} {
+		for _, n := range []int{1, 24, 96} {
+			srcs[fmt.Sprintf("corpus(%d, %d)", seed, n)] = loopgen.SourceCorpus(seed, n)
+		}
+	}
+	for i, s := range append(frontend.CompileSeeds, frontend.OracleSeeds...) {
+		srcs[fmt.Sprintf("fuzz seed %d", i)] = s
+	}
+	for i, s := range []string{
+		"loop x { }", "loop x { a[j] = 1.0 }", "loop x { a[i] = foo(1.0) }",
+		"loop x { a[i] = 1.0", "loop x { a[i] = + }", "loop x { a[i] = 1.0 @ }",
+		"# nothing\n", "loop x { a[i] 1.0 }", "loop x { a[i] = select(b[i], c[i]) }",
+		"loop x { a[i] = sqrt(b[i], c[i]) }", "loop x { a[i+1.5] = 1 }", "loop x { a[i] = 1.2.3 }",
+		"loop x { a[i] = b[i]; }", "loop x\n{\n s = s + 1;;\n}", "loop x { a[i] = b[i] c[i] }",
+		"loop x { a[i] = (b[i] }", "loop x y", "loop", "x = 1", "loop x { a[i] = \xff }",
+		"loop x { a = b; b = a }", "loop x { t = s; s = t * 2; u = t }",
+	} {
+		srcs[fmt.Sprintf("edge case %d", i)] = s
+	}
+	for name, src := range srcs {
+		if d := frontend.DiffOracle(src); d != "" {
+			t.Errorf("%s: %s", name, d)
+		}
+	}
+}
+
+// TestBuildConcurrent builds every loop of one Program from four
+// goroutines at once (the way compile.Source does) and requires the
+// graphs of a serial build. Run under -race it checks that Build only
+// reads the Program.
+func TestBuildConcurrent(t *testing.T) {
+	prog, err := frontend.Parse(livermore.Source() + loopgen.SourceCorpus(compile.CorpusSeed, 96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := frontend.Compile(livermore.Source() + loopgen.SourceCorpus(compile.CorpusSeed, 96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	got := make([][]frontend.Loop, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		got[w] = make([]frontend.Loop, prog.Len())
+		wg.Add(1)
+		go func(out []frontend.Loop) {
+			defer wg.Done()
+			for i := range out {
+				out[i], _ = prog.Build(i)
+			}
+		}(got[w])
+	}
+	wg.Wait()
+	for w := range got {
+		for i, l := range got[w] {
+			if l.Graph == nil || l.Name != want[i].Name || l.Line != want[i].Line ||
+				!reflect.DeepEqual(l.Graph.Nodes, want[i].Graph.Nodes) || !reflect.DeepEqual(l.Graph.Edges, want[i].Graph.Edges) {
+				t.Fatalf("worker %d: loop %d (%s) differs from the serial build", w, i, want[i].Name)
+			}
+		}
+	}
+}
+
+// TestParseDeepNestingBounded: a megabyte of nested parentheses, unary
+// minus or call arguments gets the parser's nesting error at the line
+// where the bound is crossed, with the goroutine stack capped far
+// below what one frame per level would take.
+func TestParseDeepNestingBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lexes megabyte sources")
+	}
+	const n = 1 << 20
+	defer debug.SetMaxStack(debug.SetMaxStack(4 << 20))
+	for name, src := range map[string]string{
+		"parens": "loop p {\n x = " + strings.Repeat("(", n) + "y" + strings.Repeat(")", n) + "\n}",
+		"minus":  "loop m {\n x = " + strings.Repeat("-", n) + "y\n}",
+		"calls":  "loop c {\n x = " + strings.Repeat("sqrt(", n) + "y" + strings.Repeat(")", n) + "\n}",
+	} {
+		want := fmt.Sprintf("frontend: line 2: expression nested more than %d levels deep", frontend.MaxNesting)
+		if _, err := frontend.Parse(src); err == nil || err.Error() != want {
+			t.Errorf("%s: Parse error %v, want %q", name, err, want)
+		}
+		if _, err := frontend.ParseSyntax(src); err == nil || err.Error() != want {
+			t.Errorf("%s: ParseSyntax error %v, want %q", name, err, want)
+		}
+	}
+	// Exactly at the bound the source still parses.
+	ok := "loop ok { x = " + strings.Repeat("(", frontend.MaxNesting-1) + "y" + strings.Repeat(")", frontend.MaxNesting-1) + " }"
+	if _, err := frontend.Compile(ok); err != nil {
+		t.Errorf("%d levels: %v", frontend.MaxNesting, err)
+	}
+}
+
+// TestCompileLongChain: a left-deep chain of additions, which nests no
+// deeper than one level, compiles and syntax-parses with the goroutine
+// stack capped: the graph build walks the expression slab with a
+// value stack instead of recursing once per operator.
+func TestCompileLongChain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 256k-node graph")
+	}
+	const n = 1 << 18
+	src := "loop chain { s = a[i]" + strings.Repeat(" + a[i]", n) + " }"
+	defer debug.SetMaxStack(debug.SetMaxStack(8 << 20))
+	loops, err := frontend.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One load, n adds and the branch.
+	if got := loops[0].Graph.NumNodes(); got != n+2 {
+		t.Errorf("%d nodes, want %d", got, n+2)
+	}
+	syn, err := frontend.ParseSyntax(src)
+	if err != nil || len(syn[0].Stmts[0].Reads) != n+1 {
+		t.Errorf("ParseSyntax: %v", err)
+	}
+}
+
+// TestBuildAllocs gates Program.Build's allocations over Livermore and
+// the corpus: the graph (header, node and edge slices, node arena),
+// one string holding every node name, one int32 slab of ID-indexed
+// tables, the access list, the graph check's search slab, and at most
+// one regrowth of the edge slice for memory dependences.
+func TestBuildAllocs(t *testing.T) {
+	prog, err := frontend.Parse(livermore.Source() + loopgen.SourceCorpus(compile.CorpusSeed, 96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perLoop = 9
+	a := testing.AllocsPerRun(10, func() {
+		for i := 0; i < prog.Len(); i++ {
+			if _, err := prog.Build(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if a > float64(perLoop*prog.Len()) {
+		t.Errorf("building %d loops allocates %.0f times, want <= %d per loop", prog.Len(), a, perLoop)
 	}
 }

@@ -7,25 +7,28 @@ import (
 	"clustersched/internal/mii"
 )
 
+// compileSeeds are FuzzCompile's seed inputs, shared with the oracle
+// fuzz target and the oracle corpus test.
+var compileSeeds = []string{
+	"loop dp { s = s + a[i] * b[i] }",
+	"loop st { x[i] = (x[i-1] + x[i+1]) / 2.0 }",
+	"loop lin { v = v * c + d[i]\nout[i] = v }",
+	"loop n { r[i] = sqrt(u[i]*u[i]) }",
+	"loop e { a[i] = -b[i] + 3.5 }",
+	"loop g { t = a[i]; u = t * t; c[i] = u }",
+	"loop bad { a[j] = 1.0 }",
+	"loop bad2 { a[i] = }",
+	"loop { }",
+	"###",
+	"loop x { y = y }",
+	"loop w { x[i] = x[i] }",
+}
+
 // FuzzCompile feeds arbitrary source to the compiler: it must never
 // panic, and anything it accepts must be a valid, MII-computable
 // dependence graph.
 func FuzzCompile(f *testing.F) {
-	seeds := []string{
-		"loop dp { s = s + a[i] * b[i] }",
-		"loop st { x[i] = (x[i-1] + x[i+1]) / 2.0 }",
-		"loop lin { v = v * c + d[i]\nout[i] = v }",
-		"loop n { r[i] = sqrt(u[i]*u[i]) }",
-		"loop e { a[i] = -b[i] + 3.5 }",
-		"loop g { t = a[i]; u = t * t; c[i] = u }",
-		"loop bad { a[j] = 1.0 }",
-		"loop bad2 { a[i] = }",
-		"loop { }",
-		"###",
-		"loop x { y = y }",
-		"loop w { x[i] = x[i] }",
-	}
-	for _, s := range seeds {
+	for _, s := range compileSeeds {
 		f.Add(s)
 	}
 	m := machine.NewBusedGP(2, 2, 1)

@@ -24,12 +24,12 @@ package frontend
 
 import (
 	"fmt"
-	"strings"
+	"math"
 	"unicode"
 )
 
 // tokenKind enumerates lexical token classes.
-type tokenKind int
+type tokenKind uint8
 
 const (
 	tokEOF tokenKind = iota
@@ -49,6 +49,7 @@ const (
 	tokLoop    // keyword "loop"
 	tokNewline // statement separator (newline or ';')
 	tokComma   // ,
+	numTokenKinds
 )
 
 func (k tokenKind) String() string {
@@ -92,104 +93,108 @@ func (k tokenKind) String() string {
 	}
 }
 
+// token is one lexeme: its kind, the line it starts on, and its text
+// as the byte range src[start:end]. It holds no pointer, so the token
+// slab costs the garbage collector nothing to scan. A newline token
+// has an empty range (it reads as nothing in error messages); the end
+// of input sits at len(src).
 type token struct {
-	kind tokenKind
-	text string
-	line int
+	kind       tokenKind
+	line       int32
+	start, end int32
 }
 
+// Byte classes of the lexer, precomputed from the unicode predicates
+// it applies to each source byte (as a rune: bytes 0x80-0xFF are
+// Latin-1 code points, several of them letters).
+const (
+	classDigit      = 1 << iota // unicode.IsDigit
+	classIdentStart             // unicode.IsLetter or '_'
+)
+
+var byteClass = func() (t [256]uint8) {
+	for c := 0; c < 256; c++ {
+		if unicode.IsDigit(rune(c)) {
+			t[c] |= classDigit
+		}
+		if unicode.IsLetter(rune(c)) || c == '_' {
+			t[c] |= classIdentStart
+		}
+	}
+	return t
+}()
+
+// punct maps every single-byte token to its kind; tokEOF marks bytes
+// that start no such token.
+var punct = func() (t [256]tokenKind) {
+	kinds := [...]tokenKind{tokNewline, tokComma, tokAssign, tokPlus, tokMinus, tokStar,
+		tokSlash, tokLParen, tokRParen, tokLBrack, tokRBrack, tokLBrace, tokRBrace}
+	for i, k := range kinds {
+		t[";,=+-*/()[]{}"[i]] = k
+	}
+	return t
+}()
+
+// tokenCounts tallies the tokens of each kind, which bound the sizes
+// of the parser's slabs.
+type tokenCounts [numTokenKinds]int
+
 // lex tokenizes the whole source. '#' comments run to end of line;
-// newlines and ';' are statement separators.
+// newlines and ';' are statement separators. Token offsets are int32,
+// so a source must be shorter than 2 GiB.
 //
 // The token slab is presized from the source length: generated loops
 // average ~1.6 source bytes per token and hand-written ones ~2.3, so
 // two tokens per three bytes holds a typical unit without regrowth.
-func lex(src string) ([]token, error) {
-	toks := make([]token, 0, len(src)*2/3+1)
-	line := 1
-	i := 0
-	emit := func(k tokenKind, text string) {
-		toks = append(toks, token{kind: k, text: text, line: line})
+func lex(src string) ([]token, tokenCounts, error) {
+	if len(src) >= math.MaxInt32 {
+		return nil, tokenCounts{}, fmt.Errorf("frontend: source of %d bytes is too large", len(src))
 	}
-	for i < len(src) {
+	toks := make([]token, 0, len(src)*2/3+1)
+	var n tokenCounts
+	line := int32(1)
+	for i := 0; i < len(src); {
 		c := src[i]
-		switch {
-		case c == '\n':
-			emit(tokNewline, "\\n")
+		switch c {
+		case '\n':
+			toks = append(toks, token{kind: tokNewline, line: line, start: int32(i), end: int32(i)})
+			n[tokNewline]++
 			line++
 			i++
-		case c == ';':
-			emit(tokNewline, ";")
+			continue
+		case ' ', '\t', '\r':
 			i++
-		case c == ' ' || c == '\t' || c == '\r':
-			i++
-		case c == '#':
+			continue
+		case '#':
 			for i < len(src) && src[i] != '\n' {
 				i++
 			}
-		case c == ',':
-			emit(tokComma, ",")
-			i++
-		case c == '=':
-			emit(tokAssign, "=")
-			i++
-		case c == '+':
-			emit(tokPlus, "+")
-			i++
-		case c == '-':
-			emit(tokMinus, "-")
-			i++
-		case c == '*':
-			emit(tokStar, "*")
-			i++
-		case c == '/':
-			emit(tokSlash, "/")
-			i++
-		case c == '(':
-			emit(tokLParen, "(")
-			i++
-		case c == ')':
-			emit(tokRParen, ")")
-			i++
-		case c == '[':
-			emit(tokLBrack, "[")
-			i++
-		case c == ']':
-			emit(tokRBrack, "]")
-			i++
-		case c == '{':
-			emit(tokLBrace, "{")
-			i++
-		case c == '}':
-			emit(tokRBrace, "}")
-			i++
-		case unicode.IsDigit(rune(c)):
-			j := i
-			for j < len(src) && (unicode.IsDigit(rune(src[j])) || src[j] == '.') {
-				j++
-			}
-			emit(tokNumber, src[i:j])
-			i = j
-		case unicode.IsLetter(rune(c)) || c == '_':
-			j := i
-			for j < len(src) && (unicode.IsLetter(rune(src[j])) || unicode.IsDigit(rune(src[j])) || src[j] == '_') {
-				j++
-			}
-			word := src[i:j]
-			if word == "loop" {
-				emit(tokLoop, word)
-			} else {
-				emit(tokIdent, word)
-			}
-			i = j
-		default:
-			return nil, fmt.Errorf("frontend: line %d: unexpected character %q", line, string(c))
+			continue
 		}
+		k, j := punct[c], i+1
+		switch {
+		case k != tokEOF:
+		case byteClass[c]&classDigit != 0:
+			for j < len(src) && (byteClass[src[j]]&classDigit != 0 || src[j] == '.') {
+				j++
+			}
+			k = tokNumber
+		case byteClass[c]&classIdentStart != 0:
+			for j < len(src) && byteClass[src[j]] != 0 {
+				j++
+			}
+			k = tokIdent
+			if src[i:j] == "loop" {
+				k = tokLoop
+			}
+		default:
+			return nil, tokenCounts{}, fmt.Errorf("frontend: line %d: unexpected character %q", line, string(c))
+		}
+		toks = append(toks, token{kind: k, line: line, start: int32(i), end: int32(j)})
+		n[k]++
+		i = j
 	}
-	emit(tokEOF, "")
-	return toks, nil
+	end := int32(len(src))
+	toks = append(toks, token{kind: tokEOF, line: line, start: end, end: end})
+	return toks, n, nil
 }
-
-// stripTrailing returns s without a trailing newline marker, for error
-// messages.
-func stripTrailing(s string) string { return strings.TrimSuffix(s, "\\n") }

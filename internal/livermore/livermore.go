@@ -109,6 +109,9 @@ loop lfk24_argmin {
 }
 `
 
+// Source returns the kernel collection as loop-language source.
+func Source() string { return source }
+
 // Kernels compiles the collection. The result is deterministic; the
 // error path exists only to guard against regressions in the frontend
 // (the embedded source is tested to compile).

@@ -282,32 +282,85 @@ func arcsOverlap(s1, l1, s2, l2, circle int) bool {
 }
 
 // Validate independently re-checks the allocation: every value
-// instance bound, bindings within the per-cluster register counts, and
-// no same-register overlap.
+// instance bound, bindings within the machine's clusters and their
+// register counts, and no same-register overlap.
+//
+// The check recomputes every arc from the bindings. It buckets the
+// bindings by (cluster, register) with a counting sort into one int32
+// slab, each cluster's buckets starting at the prefix sum of the
+// register counts before it, and checks each bucket's pairs in
+// (cluster, register) order, so a double-booking report always names
+// the lowest such register.
 func (a *Allocation) Validate(in sched.Input, s *sched.Schedule) error {
 	circle := a.Factor * s.II
-	wantInstances := len(Lifetimes(in, s)) * a.Factor
+	wantInstances := lifetimeCount(in) * a.Factor
 	if len(a.Bindings) != wantInstances {
 		return fmt.Errorf("regalloc: %d bindings for %d value instances", len(a.Bindings), wantInstances)
 	}
-	type key struct{ cluster, reg int }
-	byReg := map[key][]Binding{}
+	nc, buckets := len(a.RegsPerCluster), 0
+	for _, r := range a.RegsPerCluster {
+		buckets += max(r, 0)
+	}
+	// base[cl] is cluster cl's first bucket; bucket k's bindings are
+	// order[start[k]:start[k+1]], in binding order.
+	slab := make([]int32, nc+buckets+1+len(a.Bindings))
+	base, start, order := slab[:nc], slab[nc:nc+buckets+1], slab[nc+buckets+1:]
+	for cl := 1; cl < nc; cl++ {
+		base[cl] = base[cl-1] + int32(max(a.RegsPerCluster[cl-1], 0))
+	}
 	for _, b := range a.Bindings {
+		if b.Cluster < 0 || b.Cluster >= nc {
+			return fmt.Errorf("regalloc: value %d instance %d cluster %d out of range", b.Value, b.Instance, b.Cluster)
+		}
 		if b.Register < 0 || b.Register >= a.RegsPerCluster[b.Cluster] {
 			return fmt.Errorf("regalloc: value %d instance %d register %d out of range", b.Value, b.Instance, b.Register)
 		}
-		byReg[key{b.Cluster, b.Register}] = append(byReg[key{b.Cluster, b.Register}], b)
+		start[base[b.Cluster]+int32(b.Register)+1]++
 	}
-	for k, arcs := range byReg {
-		for i := 0; i < len(arcs); i++ {
-			for j := i + 1; j < len(arcs); j++ {
-				if arcsOverlap(arcs[i].arcStart(s.II, circle), arcs[i].Len,
-					arcs[j].arcStart(s.II, circle), arcs[j].Len, circle) {
-					return fmt.Errorf("regalloc: cluster %d register %d double-booked by values %d/%d and %d/%d",
-						k.cluster, k.reg, arcs[i].Value, arcs[i].Instance, arcs[j].Value, arcs[j].Instance)
+	for k := 1; k <= buckets; k++ {
+		start[k] += start[k-1]
+	}
+	for i, b := range a.Bindings {
+		k := base[b.Cluster] + int32(b.Register)
+		order[start[k]] = int32(i)
+		start[k]++
+	}
+	copy(start[1:], start[:buckets])
+	start[0] = 0
+
+	for cl := 0; cl < nc; cl++ {
+		for r := 0; r < a.RegsPerCluster[cl]; r++ {
+			k := base[cl] + int32(r)
+			arcs := order[start[k]:start[k+1]]
+			for i, bi := range arcs {
+				x := &a.Bindings[bi]
+				xs := x.arcStart(s.II, circle)
+				for _, bj := range arcs[i+1:] {
+					y := &a.Bindings[bj]
+					if arcsOverlap(xs, x.Len, y.arcStart(s.II, circle), y.Len, circle) {
+						return fmt.Errorf("regalloc: cluster %d register %d double-booked by values %d/%d and %d/%d",
+							cl, r, x.Value, x.Instance, y.Value, y.Instance)
+					}
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// lifetimeCount is len(Lifetimes(in, s)), counted without building
+// the lifetimes: one per value-producing node, and one per target
+// cluster for a copy.
+func lifetimeCount(in sched.Input) int {
+	n := 0
+	for v, node := range in.Graph.Nodes {
+		switch {
+		case !producesValue(node.Kind):
+		case node.Kind == ddg.OpCopy && in.CopyTargets != nil:
+			n += len(in.CopyTargets[v])
+		default:
+			n++
+		}
+	}
+	return n
 }

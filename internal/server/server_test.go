@@ -654,3 +654,42 @@ func BenchmarkServerCached(b *testing.B) {
 		benchSchedule(b, c, req)
 	}
 }
+
+// TestDeepNestingSourceIsRejected: a 2.4 MB loop body of nested
+// parentheses, under the body cap, gets a 4xx from every endpoint
+// that compiles source and a LOOP001 finding from /v1/lint, and the
+// daemon keeps serving.
+func TestDeepNestingSourceIsRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sends megabyte bodies")
+	}
+	c, _ := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	const n = 1200000
+	src := "loop deep {\n x = " + strings.Repeat("(", n) + "y" + strings.Repeat(")", n) + "\n}\n"
+	rejected := func(what string, err error) {
+		t.Helper()
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status < 400 || apiErr.Status >= 500 {
+			t.Errorf("%s: err = %v, want a 4xx APIError", what, err)
+		} else if !strings.Contains(apiErr.ErrorResponse.Error, "nested more than") {
+			t.Errorf("%s: error %q does not name the nesting bound", what, apiErr.ErrorResponse.Error)
+		}
+	}
+	_, _, err := c.Schedule(ctx, server.ScheduleRequest{Source: src, Machine: "gp:2:2:1"})
+	rejected("schedule", err)
+	_, err = c.Batch(ctx, server.BatchRequest{Source: src, Machine: "gp:2:2:1"})
+	rejected("batch", err)
+	_, err = c.Compile(ctx, server.CompileRequest{Source: src, Machine: "gp:2:2:1"})
+	rejected("compile", err)
+	lint, err := c.Lint(ctx, server.LintRequest{Source: src})
+	if err != nil {
+		t.Fatalf("lint: %v", err)
+	}
+	if len(lint.Diagnostics) != 1 || lint.Diagnostics[0].Code != "LOOP001" || lint.Diagnostics[0].Line != 2 {
+		t.Errorf("lint: %+v, want one LOOP001 at line 2", lint.Diagnostics)
+	}
+	if _, _, err := c.Schedule(ctx, server.ScheduleRequest{Source: "loop d { s = s + a[i]*b[i] }", Machine: "gp:2:2:1"}); err != nil {
+		t.Fatalf("daemon stopped serving after the deep source: %v", err)
+	}
+}

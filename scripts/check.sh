@@ -15,21 +15,26 @@ go run ./cmd/schedvet ./...
 # shared observers, the daemon and its cache, the speculative II
 # search and batch sharding) plus the public API that feeds them, the
 # dependence graph's lazily built caches (concurrent readers race to
-# build them), and the assignment engine's differential/fuzz-seed tests.
-go test -race ./internal/ddg/ ./internal/pool/ ./internal/obs/ ./internal/experiments/ ./internal/explore/ ./internal/cache/ ./internal/server/ ./internal/assign/ ./internal/pipeline/ ./internal/compile/ .
+# build them), the assignment engine's differential/fuzz-seed tests,
+# and the frontend (compile.Source builds one Program's loops on
+# several workers at once).
+go test -race ./internal/ddg/ ./internal/pool/ ./internal/obs/ ./internal/experiments/ ./internal/explore/ ./internal/cache/ ./internal/server/ ./internal/assign/ ./internal/pipeline/ ./internal/compile/ ./internal/frontend/ .
 # Compile-corpus oracle: every kernel the streaming executor emits for
 # the regression corpus must execute functionally identical to the
 # naive non-pipelined loop (sim cross-validation plus the Livermore
 # value-differential, across two machine configs).
 go test -run 'TestCorpusSchedulesAndSimValidates|TestLivermoreValueDifferential' -count=1 ./internal/compile/
 # Short benchmark smoke pass: the assignment benchmarks, the
-# session/batch benchmarks, the kernel emitter's and the MVE register
-# allocator's benchmarks must still run (allocation regressions fail
-# in the test pass above; this catches benchmarks broken by API drift).
+# session/batch benchmarks, the kernel emitter's, the MVE register
+# allocator's, the frontend's and the whole-unit compile's benchmarks
+# must still run (allocation regressions fail in the test pass above;
+# this catches benchmarks broken by API drift).
 go test -run xxx -bench . -benchtime 2x ./internal/assign/
 go test -run xxx -bench 'BenchmarkRunBatch|BenchmarkSessionSchedule' -benchtime 1x ./internal/pipeline/
 go test -run xxx -bench BenchmarkKernel -benchtime 1x ./internal/emit/
 go test -run xxx -bench BenchmarkAllocateMVE -benchtime 1x ./internal/regalloc/
+go test -run xxx -bench BenchmarkCompile -benchtime 1x ./internal/frontend/
+go test -run xxx -bench BenchmarkSourceCorpus -benchtime 1x ./internal/compile/
 # Baseline-gate smoke: exercises the bench.sh -baseline plumbing (fresh
 # runs parsed and diffed against the committed BENCH JSONs) on a short
 # suite. The loose tolerance keeps a time-shared host from flaking the
