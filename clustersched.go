@@ -268,27 +268,14 @@ func WithTimeout(d time.Duration) Option {
 }
 
 // WithWarmStart turns warm-started II escalation on or off (default
-// on): when on, each escalated II candidate is seeded from the failed
-// candidate's last consistent partial assignment, falling back to a
-// scratch run at the same II when the warm attempt fails. Off exists
-// for ablation and A/B measurement.
+// on): when on, escalated II candidates are seeded from an earlier
+// failed candidate's last consistent partial assignment — the failed
+// candidates at MII, MII+4, MII+8, ... each seed the run of 4
+// candidates after them — falling back to a scratch run at the same
+// II when the warm attempt fails. Off exists for ablation and A/B
+// measurement.
 func WithWarmStart(on bool) Option {
 	return func(po *pipeline.Options) { po.DisableWarmStart = !on }
-}
-
-// WithSpeculation configures the speculative II search: window is the
-// number of candidate IIs grouped into one probe round after the MII
-// candidate fails (0 keeps the default), and workers bounds the
-// goroutines probing one round concurrently (<= 1, the default, keeps
-// the search sequential). Speculation never changes the result — the
-// lowest feasible II is committed either way — only the wall-clock
-// time to find it; see docs/OBSERVABILITY.md for the determinism
-// contract.
-func WithSpeculation(window, workers int) Option {
-	return func(po *pipeline.Options) {
-		po.SpeculativeWindow = window
-		po.SpeculativeWorkers = workers
-	}
 }
 
 // Result is a complete clustered modulo schedule.

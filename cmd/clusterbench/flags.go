@@ -13,7 +13,7 @@ import (
 var modeFlags = []string{"table1", "server", "fleet", "benchjson", "assignjson", "compilejson", "baseline", "trend", "markdown", "livermore", "registers"}
 
 // flagConflicts validates the combination of explicitly-set flags,
-// returning coded diagnostics (CLI001..CLI008, catalogued in
+// returning coded diagnostics (CLI001..CLI007, catalogued in
 // docs/DIAGNOSTICS.md) for combinations that would silently ignore a
 // flag or produce an unattributable measurement. set holds the names
 // the user passed on the command line.
@@ -96,15 +96,6 @@ func flagConflicts(set map[string]bool) []diag.Diagnostic {
 			Severity: diag.Error,
 			Message:  "-trend requires -trendsha: a trend row without its git SHA cannot be attributed to a commit",
 			Fix:      "pass -trendsha $(git rev-parse --short HEAD)",
-		})
-	}
-
-	if set["spec"] && !set["benchjson"] {
-		diags = append(diags, diag.Diagnostic{
-			Code:     "CLI008",
-			Severity: diag.Error,
-			Message:  "-spec has no effect without -benchjson: speculative probing is measured by the pipeline suite",
-			Fix:      "add -benchjson, or drop -spec",
 		})
 	}
 

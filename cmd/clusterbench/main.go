@@ -12,7 +12,6 @@
 //	clusterbench -stats          # add search-effort statistics per row
 //	clusterbench -trace ev.json  # stream every pipeline event as JSON lines
 //	clusterbench -benchjson      # time the pipeline over the suite, emit JSON
-//	clusterbench -benchjson -spec 4   # add a speculative-II-probing section
 //	clusterbench -assignjson     # time cluster assignment alone, emit JSON
 //	clusterbench -compilejson    # time the whole-TU compile path over the corpus
 //	clusterbench -trend -trendsha abc1234   # emit dated trend rows for BENCH_TREND.jsonl
@@ -69,7 +68,6 @@ func main() {
 		trace       = flag.String("trace", "", "write a JSON-lines event stream of every pipeline run to this file (- for stderr)")
 		benchjson   = flag.Bool("benchjson", false, "time the pipeline over the suite and emit a JSON summary (ns/op plus aggregated stats) on stdout")
 		benchreps   = flag.Int("benchreps", 3, "passes over the suite for -benchjson; ns_per_op reports the fastest pass")
-		spec        = flag.Int("spec", 0, "speculative II-probe workers: adds a 'speculative' section to -benchjson measuring the suite again with SpeculativeWorkers=N (IIs asserted identical to the main pass)")
 		compilejson = flag.Bool("compilejson", false, "time the whole-TU compile path over the regression corpus (per-loop cold, streaming w1, streaming w4) and emit a JSON summary on stdout")
 		warmstart   = flag.String("warmstart", "on", "warm-started II search: on or off (off forces every candidate II to assign from scratch)")
 		serverURL   = flag.String("server", "", "replay the suite against a running clusterd at this base URL (cold pass then cached pass) and emit a JSON summary")
@@ -156,7 +154,7 @@ func main() {
 	}
 
 	if *benchjson {
-		if err := benchJSON(ctx, loops, opts, *workers, warm, *benchreps, *spec); err != nil {
+		if err := benchJSON(ctx, loops, opts, *workers, warm, *benchreps); err != nil {
 			fatal(err)
 		}
 		return
@@ -304,15 +302,7 @@ func main() {
 // least-interfered estimate (outcomes and counters are deterministic,
 // so repetition changes timing only). scripts/bench.sh redirects this
 // into BENCH_pipeline.json.
-//
-// spec > 0 adds a "speculative" section: the same suite measured with
-// batch sharding off (one worker) and SpeculativeWorkers=spec, so the
-// II window's candidates probe in parallel inside each loop. The
-// speculative pass's counters (ii_speculative_wins/_wasted) come from
-// paths the main pass never takes, and every loop's II is asserted
-// identical to the main pass — speculation is a latency optimization,
-// never a search change.
-func benchJSON(ctx context.Context, loops []*ddg.Graph, opts experiments.Options, workers int, warm bool, reps, spec int) error {
+func benchJSON(ctx context.Context, loops []*ddg.Graph, opts experiments.Options, workers int, warm bool, reps int) error {
 	m := m2c()
 	popts := pipeline.Options{
 		Assign:           assign.Options{Variant: assign.HeuristicIterative},
@@ -361,27 +351,19 @@ func benchJSON(ctx context.Context, loops []*ddg.Graph, opts experiments.Options
 		agg.Add(r.Outcome.Stats)
 		scheduled++
 	}
-	type specSummary struct {
-		SpecWorkers int       `json:"spec_workers"`
+	summary := struct {
+		Name        string    `json:"name"`
+		Machine     string    `json:"machine"`
+		Loops       int       `json:"loops"`
 		Scheduled   int       `json:"scheduled"`
+		Workers     int       `json:"workers"`
+		WarmStart   bool      `json:"warm_start"`
+		Reps        int       `json:"reps"`
 		TotalNS     int64     `json:"total_ns"`
 		NSPerOp     int64     `json:"ns_per_op"`
+		AllocsPerOp int64     `json:"allocs_per_op"`
+		BytesPerOp  int64     `json:"bytes_per_op"`
 		Stats       obs.Stats `json:"stats"`
-	}
-	summary := struct {
-		Name        string       `json:"name"`
-		Machine     string       `json:"machine"`
-		Loops       int          `json:"loops"`
-		Scheduled   int          `json:"scheduled"`
-		Workers     int          `json:"workers"`
-		WarmStart   bool         `json:"warm_start"`
-		Reps        int          `json:"reps"`
-		TotalNS     int64        `json:"total_ns"`
-		NSPerOp     int64        `json:"ns_per_op"`
-		AllocsPerOp int64        `json:"allocs_per_op"`
-		BytesPerOp  int64        `json:"bytes_per_op"`
-		Stats       obs.Stats    `json:"stats"`
-		Speculative *specSummary `json:"speculative,omitempty"`
 	}{
 		Name:      "pipeline_suite",
 		Machine:   m.Name,
@@ -397,52 +379,6 @@ func benchJSON(ctx context.Context, loops []*ddg.Graph, opts experiments.Options
 		summary.NSPerOp = elapsed.Nanoseconds() / int64(scheduled)
 		summary.AllocsPerOp = int64(allocs) / int64(scheduled)
 		summary.BytesPerOp = int64(bytes) / int64(scheduled)
-	}
-
-	if spec > 0 {
-		sp := popts
-		sp.SpeculativeWorkers = spec
-		var specResults []pipeline.BatchResult
-		var specElapsed time.Duration
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			// One batch worker: speculation and batch sharding both
-			// multiply goroutines, and this section isolates the former.
-			specResults = pipeline.RunBatch(ctx, loops, m, sp, 1)
-			d := time.Since(start)
-			if r == 0 || d < specElapsed {
-				specElapsed = d
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-		}
-		var specAgg obs.Stats
-		specScheduled := 0
-		for i, r := range specResults {
-			base := results[i]
-			switch {
-			case (r.Err == nil) != (base.Err == nil):
-				return fmt.Errorf("benchjson: loop %d outcome differs under speculation (spec err %v, base err %v)", i, r.Err, base.Err)
-			case r.Err == nil && r.Outcome.II != base.Outcome.II:
-				return fmt.Errorf("benchjson: loop %d II %d under speculation, %d without — speculation must not change the search",
-					i, r.Outcome.II, base.Outcome.II)
-			}
-			if r.Err != nil || r.Outcome == nil {
-				continue
-			}
-			specAgg.Add(r.Outcome.Stats)
-			specScheduled++
-		}
-		if specAgg.IISpeculativeWins+specAgg.IISpeculativeWasted == 0 {
-			return fmt.Errorf("benchjson: speculative pass with %d workers recorded no speculative probes (wins=%d wasted=%d)",
-				spec, specAgg.IISpeculativeWins, specAgg.IISpeculativeWasted)
-		}
-		ss := &specSummary{SpecWorkers: spec, Scheduled: specScheduled, TotalNS: specElapsed.Nanoseconds(), Stats: specAgg}
-		if specScheduled > 0 {
-			ss.NSPerOp = specElapsed.Nanoseconds() / int64(specScheduled)
-		}
-		summary.Speculative = ss
 	}
 
 	enc := json.NewEncoder(os.Stdout)

@@ -65,8 +65,9 @@ func problemAt(g *ddg.Graph, m *machine.Config, ii int, opts Options) *Problem {
 // captured by a previous failed RunAt at a lower II (see Partial);
 // nodes whose seeded placement no longer fits are dropped, never
 // failing the run. tr carries this run's observability hooks and
-// cancellation context, replacing Options.Trace — per-run because
-// speculative probes of one search each trace into their own buffer.
+// cancellation context, replacing Options.Trace — per-run because a
+// Problem outlives the search it serves: a pipeline session rebinds
+// one Problem for every loop and passes each call's trace here.
 func (p *Problem) RunAt(ii int, seed []int, tr *obs.Trace) (*Result, bool) {
 	if ii <= 0 {
 		panic(fmt.Sprintf("assign: non-positive II %d", ii))

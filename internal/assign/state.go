@@ -325,8 +325,8 @@ func (a *assigner) reset(ii int) {
 // loop (an eviction of the stale seed entry), never failing the run.
 // Nodes are applied in ascending ID order so the committed state —
 // including the assignSeq stamps the victim policy reads — is a pure
-// function of the seed, which the determinism of speculative II
-// probing relies on.
+// function of the seed, so a warm-started run is reproducible from
+// its seed alone.
 //
 //schedvet:alloc-free
 func (a *assigner) seedFrom(seed []int) {

@@ -93,10 +93,10 @@ type Graph struct {
 
 	// adj caches the materialized per-node edge and neighbor lists the
 	// accessors below hand out. Built lazily on first query, discarded
-	// by AddNode/AddEdge. An atomic pointer because read-only graphs are
-	// queried from concurrent goroutines (speculative II probes, batch
-	// workers); racing builders compute identical caches and the losing
-	// store is merely wasted work.
+	// by AddNode/AddEdge. An atomic pointer because a read-only graph
+	// may be queried from several goroutines at once; racing builders
+	// compute identical caches and the losing store is merely wasted
+	// work.
 	adj atomic.Pointer[adjacency]
 
 	// scc caches the Tarjan decomposition under the same contract as

@@ -87,7 +87,10 @@ func (p *Program) name(l *loopAST, id int32) string {
 func (p *Program) Build(i int) (Loop, error) {
 	l := &p.loops[i]
 	name := p.src[l.name.start:l.name.end]
-	g := p.compileLoop(l)
+	g, err := p.compileLoop(l)
+	if err != nil {
+		return Loop{}, err
+	}
 	if err := g.Validate(); err != nil {
 		return Loop{}, fmt.Errorf("frontend: loop %q compiles to an unschedulable graph (%v); "+
 			"a value would have to flow backwards within one iteration", name, err)
@@ -131,7 +134,9 @@ type compiler struct {
 	stmt         int32
 }
 
-func (p *Program) compileLoop(l *loopAST) *ddg.Graph {
+// compileLoop builds loop l's dependence graph, failing when its
+// memory-dependence analysis would exceed maxMemoryPairs.
+func (p *Program) compileLoop(l *loopAST) (*ddg.Graph, error) {
 	names, elems := int(l.names.len()), int(l.elems.len())
 	slab := make([]int32, 5*names+1+3*elems+1+int(l.scalars)+2*int(l.operands))
 	cut := func(n int) []int32 {
@@ -193,9 +198,13 @@ func (p *Program) compileLoop(l *loopAST) *ddg.Graph {
 			c.g.AddEdge(int(def), int(consumer), 1)
 		}
 	}
-	c.memoryDependences(c.groupAccesses())
+	if pairs := c.memoryDependences(c.groupAccesses()); pairs > maxMemoryPairs {
+		return nil, fmt.Errorf("frontend: line %d: loop %q has %d store-access pairs within its arrays, "+
+			"more than the %d memory-dependence analysis admits",
+			l.line, p.src[l.name.start:l.name.end], pairs, maxMemoryPairs)
+	}
 	c.g.AddNode(ddg.OpBranch, "loop")
-	return c.g
+	return c.g, nil
 }
 
 // nameElements renders the node name of every element of the loop
@@ -383,6 +392,15 @@ func (c *compiler) groupAccesses() []access {
 	return grouped
 }
 
+// maxMemoryPairs bounds a loop's memory-dependence analysis: the sum,
+// over its arrays, of the array's stores times its accesses, which is
+// the number of access pairs memoryDependences tests and bounds the
+// edges it adds. The largest loop of the Livermore kernels, the
+// compile corpus, FuzzCompile's seeds and every test source not built
+// to exceed it pairs 12; a body of 4000 stores to one array pairs 16
+// million and would add 8 million edges.
+const maxMemoryPairs = 1 << 16
+
 // memoryDependences adds the RAW, WAR and WAW edges between accesses
 // to the same array. Access A at subscript
 // i+oa and access B at i+ob touch the same element when B's iteration
@@ -390,17 +408,52 @@ func (c *compiler) groupAccesses() []access {
 // distance is positive, or zero with A preceding B in the body.
 // Arrays are walked in first-access order, so the edge order — which
 // cache keys hash — is the same on every compile.
-func (c *compiler) memoryDependences(grouped []access) {
+//
+// It returns the loop's pair count and adds no edge when that exceeds
+// maxMemoryPairs. Only pairs with a store can depend, so a load is
+// tested against its array's stores alone and an array without stores
+// is skipped: the walk costs at most twice the pair count, not
+// accesses squared.
+func (c *compiler) memoryDependences(grouped []access) int {
+	ends := c.groupEnd[1 : c.arrays+1]
+	pairs, lo := 0, int32(0)
+	for _, hi := range ends {
+		stores := 0
+		for _, a := range grouped[lo:hi] {
+			if a.store {
+				stores++
+			}
+		}
+		pairs += stores * int(hi-lo)
+		lo = hi
+	}
+	if pairs > maxMemoryPairs {
+		return pairs
+	}
 	elems := c.p.elems[c.l.elems.lo:c.l.elems.hi]
-	lo := int32(0)
-	for _, hi := range c.groupEnd[1 : c.arrays+1] {
+	lo = 0
+	for _, hi := range ends {
 		accs := grouped[lo:hi]
 		lo = hi
+		// The front half of the access slab is free once grouped.
+		stores := c.accs[:0:len(c.accs)]
+		for _, a := range accs {
+			if a.store {
+				stores = append(stores, a)
+			}
+		}
+		if len(stores) == 0 {
+			continue
+		}
 		for ai := range accs {
 			a := &accs[ai]
-			for bi := range accs {
-				b := &accs[bi]
-				if ai == bi || (!a.store && !b.store) {
+			partners := stores
+			if a.store {
+				partners = accs
+			}
+			for bi := range partners {
+				b := &partners[bi]
+				if a.node == b.node {
 					continue
 				}
 				d := elems[a.elem].offset - elems[b.elem].offset
@@ -417,4 +470,5 @@ func (c *compiler) memoryDependences(grouped []access) {
 			}
 		}
 	}
+	return pairs
 }

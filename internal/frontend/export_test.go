@@ -7,4 +7,7 @@ var (
 	OracleSeeds  = oracleSeeds
 )
 
-const MaxNesting = maxNesting
+const (
+	MaxNesting     = maxNesting
+	MaxMemoryPairs = maxMemoryPairs
+)

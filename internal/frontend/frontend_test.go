@@ -446,6 +446,41 @@ func TestCompileLongChain(t *testing.T) {
 	}
 }
 
+// TestMemoryPairsBounded: the memory-dependence walk costs the
+// loop's (store, access) pair count. A body of stores to one array,
+// whose pairs are quadratic in its length, is rejected with a located
+// error naming the bound before any edge is built; a body of loads
+// alone has no pairs and compiles without memory edges.
+func TestMemoryPairsBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a 40,000-statement body")
+	}
+	stores := "loop st {\n" + strings.Repeat("a[i] = x\n", 4000) + "}\n"
+	_, err := frontend.Compile(stores)
+	want := fmt.Sprintf("frontend: line 1: loop \"st\" has 16000000 store-access pairs within its arrays, "+
+		"more than the %d memory-dependence analysis admits", frontend.MaxMemoryPairs)
+	if err == nil || err.Error() != want {
+		t.Errorf("4000 stores: err = %v, want %q", err, want)
+	}
+
+	var b strings.Builder
+	b.WriteString("loop ld {\n")
+	for k := 0; k < 40000; k++ {
+		fmt.Fprintf(&b, "s = s + a[i+%d]\n", k)
+	}
+	b.WriteString("}\n")
+	loops, err := frontend.Compile(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := loops[0].Graph
+	for _, e := range g.Edges {
+		if g.Nodes[e.From].Kind == ddg.OpLoad && g.Nodes[e.To].Kind == ddg.OpLoad {
+			t.Fatalf("loads-only body has a memory edge %+v", e)
+		}
+	}
+}
+
 // TestBuildAllocs gates Program.Build's allocations over Livermore and
 // the corpus: the graph (header, node and edge slices, node arena),
 // one string holding every node name, one int32 slab of ID-indexed

@@ -8,16 +8,13 @@
 // Session: all II-invariant precomputation (SCC decomposition,
 // adjacency and machine path tables, engine arenas, scheduler
 // buffers, per-machine ResMII totals) is hoisted out of the per-II
-// loop, and each escalated candidate is warm-started from the failed
-// candidate's last consistent partial assignment, falling back to a
-// scratch run at the same II when the warm attempt fails. After the
-// first failure, candidate IIs are probed in windows that can be
-// evaluated speculatively in parallel (Options.SpeculativeWorkers);
-// the lowest feasible candidate is committed either way, so outcomes
-// are byte-identical to the sequential search (see
-// docs/OBSERVABILITY.md for the determinism contract). RunBatch
-// shards whole loop sets over a worker pool with one Session per
-// worker.
+// loop. The candidates are still walked one at a time, MII, MII+1,
+// ..., but each escalated candidate is warm-started from the partial
+// assignment of an earlier failed one (one seed serves a run of
+// warmSeedPeriod candidates), falling back to a scratch run at the
+// same II when the warm attempt fails, so warm starts never raise the
+// achieved II. RunBatch shards whole loop sets over a worker pool with
+// one Session per worker.
 //
 // The search is observable and cancelable: RunContext threads a
 // context.Context and an optional obs.Observer through the
@@ -86,26 +83,11 @@ type Options struct {
 	// already carries (the earlier one wins).
 	Timeout time.Duration
 	// DisableWarmStart makes every II probe run from scratch instead
-	// of seeding from the previous failed candidate's partial
+	// of seeding from an earlier failed candidate's partial
 	// assignment. Exists for ablation; warm starts never raise the
 	// achieved II (a failed warm attempt falls back to a scratch run
 	// at the same II).
 	DisableWarmStart bool
-	// SpeculativeWindow is the number of candidate IIs grouped into
-	// one probe round after the MII candidate fails; every probe in a
-	// round shares the same warm seed, which is what lets the round
-	// run speculatively without changing its outcome. Zero selects
-	// DefaultSpeculativeWindow. The window shapes the search (seeds
-	// advance per round, not per candidate) and must therefore be
-	// identical when comparing sequential and speculative runs.
-	SpeculativeWindow int
-	// SpeculativeWorkers bounds the goroutines evaluating one probe
-	// round concurrently. <= 1 (the default) evaluates rounds
-	// sequentially with early exit; higher values overlap candidate
-	// IIs and commit the lowest feasible one, byte-identical to the
-	// sequential result. Batch callers normally leave this at 1 and
-	// parallelize across loops instead (see RunBatch).
-	SpeculativeWorkers int
 }
 
 // DefaultMaxIISlack is the default II search headroom above MII.

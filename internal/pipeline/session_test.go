@@ -21,7 +21,7 @@ import (
 
 // searchMachines are deliberately narrow, so a good fraction of the
 // synthetic loops fail at MII and the II search actually escalates —
-// the regime where warm starts and speculation do something.
+// the regime where warm starts do something.
 func searchMachines() []*machine.Config {
 	return []*machine.Config{
 		machine.NewBusedGP(2, 1, 1),
@@ -30,10 +30,8 @@ func searchMachines() []*machine.Config {
 }
 
 // behavioralStats strips the fields excluded from the determinism
-// contract (docs/OBSERVABILITY.md): wall-clock phase times, and the
-// speculation accounting that exists only in parallel mode.
+// contract (docs/OBSERVABILITY.md): the wall-clock phase times.
 func behavioralStats(st obs.Stats) obs.Stats {
-	st.IISpeculativeWins, st.IISpeculativeWasted = 0, 0
 	st.MIITime, st.AssignTime, st.SchedTime = 0, 0, 0
 	return st
 }
@@ -60,48 +58,6 @@ func diffOutcomes(a, b *Outcome) error {
 		return fmt.Errorf("stats {%s} vs {%s}", behavioralStats(a.Stats), behavioralStats(b.Stats))
 	}
 	return nil
-}
-
-// TestSpeculativeSearchDifferential is the determinism contract:
-// evaluating probe windows on parallel workers must commit outcomes —
-// II, assignment, schedule, copies, and every behavioral counter —
-// byte-identical to the sequential walk, loop for loop.
-func TestSpeculativeSearchDifferential(t *testing.T) {
-	loops := loopgen.Suite(loopgen.Options{Seed: 33, Count: 50})
-	var agg obs.Stats
-	for _, m := range searchMachines() {
-		base := Options{
-			Assign:       assign.Options{Variant: assign.HeuristicIterative},
-			CollectStats: true,
-			MaxIISlack:   16,
-		}
-		spec := base
-		spec.SpeculativeWorkers = 4
-		seqS := NewSession(m, base)
-		parS := NewSession(m, spec)
-		for i, g := range loops {
-			so, serr := seqS.Schedule(context.Background(), g)
-			po, perr := parS.Schedule(context.Background(), g)
-			if (serr == nil) != (perr == nil) {
-				t.Fatalf("%s loop %d: sequential err %v, speculative err %v", m.Name, i, serr, perr)
-			}
-			if serr != nil {
-				if serr.Error() != perr.Error() {
-					t.Errorf("%s loop %d: error mismatch: %q vs %q", m.Name, i, serr, perr)
-				}
-				continue
-			}
-			if err := diffOutcomes(so, po); err != nil {
-				t.Errorf("%s loop %d: sequential vs speculative: %v", m.Name, i, err)
-			}
-			agg.Add(so.Stats)
-		}
-	}
-	// The comparison is vacuous if nothing escalated; the narrow
-	// machines must have forced warm-started probes somewhere.
-	if agg.IIWarmStarts == 0 {
-		t.Error("suite never warm-started; machines not narrow enough for this test")
-	}
 }
 
 // TestWarmStartNeverRaisesII checks the warm-start soundness
@@ -354,10 +310,11 @@ func TestSessionReuseAfterCancel(t *testing.T) {
 }
 
 // FuzzPipelineWarmStart feeds random loops and machines through the
-// sequential warm search, the speculative search, and the scratch
-// (warm-disabled) search: speculative must be byte-identical to
-// sequential, warm must succeed whenever scratch does without raising
-// the II, and every schedule must pass independent verification.
+// session's warm search, the reference windowed walk
+// (oracleSchedule), and the scratch (warm-disabled) search: the
+// session must be byte-identical to the oracle, warm must succeed
+// whenever scratch does without raising the II, and every schedule
+// must pass independent verification.
 func FuzzPipelineWarmStart(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(1))
@@ -378,24 +335,15 @@ func FuzzPipelineWarmStart(f *testing.F) {
 			CollectStats: true,
 			MaxIISlack:   16,
 		}
-		specOpts := warmOpts
-		specOpts.SpeculativeWorkers = 3
 		coldOpts := warmOpts
 		coldOpts.DisableWarmStart = true
 
 		wo, werr := NewSession(m, warmOpts).Schedule(context.Background(), g)
-		po, perr := NewSession(m, specOpts).Schedule(context.Background(), g)
+		oo, oerr := oracleSchedule(context.Background(), g, m, warmOpts)
 		co, cerr := NewSession(m, coldOpts).Schedule(context.Background(), g)
 
-		if (werr == nil) != (perr == nil) {
-			t.Fatalf("sequential err %v, speculative err %v", werr, perr)
-		}
-		if werr == nil {
-			if err := diffOutcomes(wo, po); err != nil {
-				t.Fatalf("sequential vs speculative: %v", err)
-			}
-		} else if werr.Error() != perr.Error() {
-			t.Fatalf("error mismatch: %q vs %q", werr, perr)
+		if err := diffOracle(wo, werr, oo, oerr); err != nil {
+			t.Fatalf("session vs oracle: %v", err)
 		}
 		if cerr == nil && werr != nil {
 			t.Fatalf("scratch found II %d but warm search failed: %v", co.II, werr)

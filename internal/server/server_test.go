@@ -693,3 +693,46 @@ func TestDeepNestingSourceIsRejected(t *testing.T) {
 		t.Fatalf("daemon stopped serving after the deep source: %v", err)
 	}
 }
+
+// TestMemoryPairHeavySourceIsRejected: a 36 KB body of 4000 stores to
+// one array, whose memory-dependence pairs are quadratic in its length,
+// gets a 4xx naming the pair bound from every endpoint that compiles
+// source and a LOOP001 finding from /v1/lint, before any edge is
+// built, and the daemon keeps serving.
+func TestMemoryPairHeavySourceIsRejected(t *testing.T) {
+	c, _ := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	src := "loop st {\n" + strings.Repeat("a[i] = x\n", 4000) + "}\n"
+	const bound = "memory-dependence analysis admits"
+	rejected := func(what string, err error) {
+		t.Helper()
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status < 400 || apiErr.Status >= 500 {
+			t.Errorf("%s: err = %v, want a 4xx APIError", what, err)
+		} else if !strings.Contains(apiErr.ErrorResponse.Error, bound) {
+			t.Errorf("%s: error %q does not name the pair bound", what, apiErr.ErrorResponse.Error)
+		}
+	}
+	_, _, err := c.Schedule(ctx, server.ScheduleRequest{Source: src, Machine: "gp:2:2:1"})
+	rejected("schedule", err)
+	_, err = c.Batch(ctx, server.BatchRequest{Source: src, Machine: "gp:2:2:1"})
+	rejected("batch", err)
+	_, err = c.Compile(ctx, server.CompileRequest{Source: src, Machine: "gp:2:2:1"})
+	rejected("compile", err)
+	lint, err := c.Lint(ctx, server.LintRequest{Source: src})
+	if err != nil {
+		t.Fatalf("lint: %v", err)
+	}
+	// The AST lint's dead-store warnings come first; the one error is
+	// the compile's.
+	if len(lint.Diagnostics) == 0 {
+		t.Fatal("lint: no findings, want a LOOP001")
+	}
+	last := lint.Diagnostics[len(lint.Diagnostics)-1]
+	if lint.Errors != 1 || last.Code != "LOOP001" || !strings.Contains(last.Message, bound) {
+		t.Errorf("lint: %d errors, last %+v, want one LOOP001 naming the pair bound", lint.Errors, last)
+	}
+	if _, _, err := c.Schedule(ctx, server.ScheduleRequest{Source: "loop d { s = s + a[i]*b[i] }", Machine: "gp:2:2:1"}); err != nil {
+		t.Fatalf("daemon stopped serving after the pair-heavy source: %v", err)
+	}
+}

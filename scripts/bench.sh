@@ -114,11 +114,7 @@ fi
 COUNT="${1:-400}"
 OUT="BENCH_pipeline.json"
 
-# -spec 4 adds the speculative section: the same suite re-run with a
-# 4-way speculative II probe, with the ii_speculative_wins / _wasted
-# counters recorded under measurement and the outcome asserted
-# identical to the sequential search.
-go run ./cmd/clusterbench -benchjson -spec 4 -benchreps 10 -count "$COUNT" > "$OUT"
+go run ./cmd/clusterbench -benchjson -benchreps 10 -count "$COUNT" > "$OUT"
 echo "bench: wrote $OUT"
 
 # Assignment-only benchmark: the incremental-engine suite (ns/op per

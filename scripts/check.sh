@@ -12,8 +12,8 @@ go test ./...
 # or a critical package gaining an unordered map range fails here).
 go run ./cmd/schedvet ./...
 # Race pass over every package that runs goroutines (worker pools,
-# shared observers, the daemon and its cache, the speculative II
-# search and batch sharding) plus the public API that feeds them, the
+# shared observers, the daemon and its cache, the pipeline's batch
+# sharding) plus the public API that feeds them, the
 # dependence graph's lazily built caches (concurrent readers race to
 # build them), the assignment engine's differential/fuzz-seed tests,
 # and the frontend (compile.Source builds one Program's loops on
