@@ -49,11 +49,11 @@ func main() {
 		pipelined   = flag.Bool("pipeline", false, "print prologue and epilogue, not just the kernel")
 		stages      = flag.Bool("stages", false, "run stage scheduling before printing")
 		verbose     = flag.Bool("v", false, "also print placement, register, and search-effort details")
-		nolint      = flag.Bool("nolint", false, "skip the pre-compilation source lint (diagnostics still apply inside the pipeline)")
+		nolint      = flag.Bool("nolint", false, "skip only the pre-compilation source lint; the scheduler still rejects graphs with lint errors")
 		trace       = flag.String("trace", "", "write a JSON-lines event stream of the schedule search to this file (- for stderr)")
 		timeout     = flag.Duration("timeout", 0, "per-loop scheduling deadline (0 = none), e.g. 500ms")
 		wholeTU     = flag.Bool("O", false, "whole-translation-unit mode: stream all loops through the stage-parallel compile pipeline")
-		workers     = flag.Int("workers", 0, "scheduling workers for -O (0 = GOMAXPROCS); output is identical for every value")
+		workers     = flag.Int("workers", 0, "workers of each wide -O stage: build, schedule, back end (0 = GOMAXPROCS); output is identical for every value")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -96,7 +96,7 @@ func main() {
 
 	if *wholeTU {
 		compileTU(ctx, string(src), m, tuConfig{
-			workers: *workers, nolint: *nolint, stages: *stages,
+			workers: *workers, stages: *stages,
 			pipelined: *pipelined, verbose: *verbose,
 			trace: *trace, timeout: *timeout,
 		})
@@ -164,7 +164,6 @@ func main() {
 // tuConfig carries the flags the whole-TU path consumes.
 type tuConfig struct {
 	workers   int
-	nolint    bool
 	stages    bool
 	pipelined bool
 	verbose   bool
@@ -184,7 +183,6 @@ func compileTU(ctx context.Context, src string, m *clustersched.Machine, cfg tuC
 			Timeout:      cfg.timeout,
 		},
 		Workers:    cfg.workers,
-		NoLint:     cfg.nolint,
 		StageSched: cfg.stages,
 		Pipelined:  cfg.pipelined,
 	}
@@ -228,7 +226,7 @@ func compileTU(ctx context.Context, src string, m *clustersched.Machine, cfg tuC
 		fatal(fmt.Errorf("interrupted: %w", err))
 	}
 	if cfg.verbose {
-		fmt.Fprintf(os.Stderr, "frontend: %d loops in %s\n", len(res.Loops), time.Duration(res.FrontendNS))
+		fmt.Fprintf(os.Stderr, "frontend: %d loops, %s parse and build summed over workers\n", len(res.Loops), time.Duration(res.FrontendNS))
 		for _, st := range res.Stages {
 			fmt.Fprintf(os.Stderr, "stage %-10s %3d loops  %s\n", st.Stage, st.Loops, time.Duration(st.NS))
 		}

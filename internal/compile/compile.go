@@ -1,33 +1,25 @@
-// Package compile is the whole-translation-unit compile path: it
-// takes a multi-loop program through lint → assign/schedule (on
-// pooled pipeline.Sessions) → stage scheduling → register allocation
-// → emission → optional sim cross-validation as one streaming,
-// stage-parallel pipeline.
+// Package compile is the whole-translation-unit compile path. A
+// multi-loop program streams through one fixed stage graph over
+// pool.RunStages (docs/COMPILE.md draws it):
 //
-// The stage graph is fixed:
+//	parse → build → schedule → back end → validate
 //
-//	frontend → lint → schedule → stagesched → regalloc → emit → validate
+// Parse is one worker in input order; build, schedule (on pooled
+// pipeline.Sessions) and the back end (stagesched, regalloc and emit,
+// timed apart) take the Workers budget; validate is one worker and in
+// the graph only under Options.Validate. Run over prebuilt graphs
+// starts at schedule. Bounded queues between stages give backpressure,
+// loop 3 can be in the back end while loop 7 is being parsed, and
+// results are assembled in input order, so Options.Emit sees exactly
+// what a sequential compiler would produce and output is
+// byte-identical for every worker count.
 //
-// (the frontend runs ahead of the graph, behind a barrier — see
-// Source — and the stagesched and validate stages no-op unless enabled
-// by Options). Loops flow through the stages as independent items over
-// pool.RunStages: bounded per-stage worker pools, a bounded queue
-// between adjacent stages (backpressure — a slow scheduler stalls
-// lint, not memory), and loop 3 can be in regalloc while loop 7 is
-// still in assignment.
-// The schedule stage carries the worker budget; the light stages run
-// narrow. Results are assembled in input order regardless of
-// completion order, so Options.Emit observes exactly the sequence a
-// sequential compiler would produce and output is byte-identical for
-// every worker count.
-//
-// Cancellation is drain-through: every stage checks the run context
-// and the loop's error before doing work, so once the context ends,
-// in-flight loops flush through the remaining stages as no-ops and
-// Run returns promptly with every loop marked canceled. There are no
-// multi-channel selects and no goroutines in this package (they live
-// in internal/pool); compile is on schedvet's critical list and holds
-// to the same determinism contract as the scheduler itself.
+// Cancellation is drain-through: every step checks the loop's error
+// and the run context before doing work, so in-flight loops flush
+// through the remaining stages as no-ops. There are no multi-channel
+// selects and no goroutines in this package (they live in
+// internal/pool); compile is on schedvet's critical list and holds to
+// the same determinism contract as the scheduler itself.
 package compile
 
 import (
@@ -37,10 +29,8 @@ import (
 	"sync/atomic"
 
 	"clustersched/internal/ddg"
-	"clustersched/internal/diag"
 	"clustersched/internal/emit"
 	"clustersched/internal/frontend"
-	"clustersched/internal/lint"
 	"clustersched/internal/machine"
 	"clustersched/internal/obs"
 	"clustersched/internal/pipeline"
@@ -52,38 +42,39 @@ import (
 	"clustersched/internal/verify"
 )
 
-// Stage indices of the fixed stage graph, in flow order.
+// Steps of one loop's compile, in flow order. Each stage runs a range
+// of them.
 const (
-	stageLint = iota
-	stageSchedule
-	stageStagesched
-	stageRegalloc
-	stageEmit
-	stageValidate
-	numStages
+	stepParse = iota
+	stepBuild
+	stepSchedule
+	stepStagesched
+	stepRegalloc
+	stepEmit
+	stepValidate
+	numSteps
 )
 
-var stageNames = [numStages]string{"lint", "schedule", "stagesched", "regalloc", "emit", "validate"}
+var (
+	stepNames = [numSteps]string{"parse", "build", "schedule", "stagesched", "regalloc", "emit", "validate"}
+	stepFns   = [numSteps]func(*run, *job){(*run).parse, (*run).build, (*run).schedule,
+		(*run).stagesched, (*run).regalloc, (*run).emit, (*run).validate}
+)
 
 // Options configures an Executor.
 type Options struct {
 	// Pipeline are the per-loop scheduling options, passed verbatim to
-	// the pooled pipeline.Sessions. Callers own the defaults: the zero
-	// value selects the Simple assignment variant, which is almost
-	// never what a compiler driver wants (cmd/clusterc and the server
-	// pass HeuristicIterative explicitly, like the library facade).
+	// the pooled pipeline.Sessions. Their zero value selects the Simple
+	// variant; cmd/clusterc and the server pass HeuristicIterative,
+	// like the library facade.
 	Pipeline pipeline.Options
-	// Workers bounds the schedule stage's worker pool, the wide stage
-	// of the pipeline; <= 0 selects GOMAXPROCS. Worker count changes
+	// Workers bounds the worker pools of the build, schedule and back
+	// end stages; <= 0 selects GOMAXPROCS. Worker count changes
 	// wall-clock time only, never output (deterministic assembly).
 	Workers int
 	// Buffer is the queue depth between adjacent stages; <= 0 selects
-	// twice the worker count. Smaller buffers tighten backpressure,
-	// larger ones smooth stage-time variance.
+	// twice the worker count.
 	Buffer int
-	// NoLint skips the per-loop graph lint stage (the pipeline still
-	// rejects graphs with Error-severity findings).
-	NoLint bool
 	// StageSched runs stage scheduling (Eichenberger & Davidson) on
 	// every kernel before register allocation.
 	StageSched bool
@@ -112,8 +103,8 @@ type LoopResult struct {
 	// Graph is the loop's input dependence graph (the annotated graph
 	// with inserted copies is Outcome.Assignment.Graph).
 	Graph *ddg.Graph
-	// Err is the first stage failure; later stages pass a failed loop
-	// through untouched, so at most one stage contributes.
+	// Err is the first step failure; later steps pass a failed loop
+	// through untouched.
 	Err error
 	// Outcome is the schedule-stage result (nil when that stage failed
 	// or never ran).
@@ -127,15 +118,14 @@ type LoopResult struct {
 	Text string
 }
 
-// StageStat is one stage's aggregate over a Run.
+// StageStat is one step's aggregate over a Run.
 type StageStat struct {
 	Stage string `json:"stage"`
-	// Loops counts loops the stage did work for (failed loops drain
+	// Loops counts loops the step did work for (failed loops drain
 	// through without being counted).
 	Loops int `json:"loops"`
-	// NS is the stage's summed wall-clock time across all loops and
-	// workers (it can exceed the run's elapsed time when the stage ran
-	// in parallel).
+	// NS is the step's wall-clock time summed across loops and workers,
+	// so it can exceed the run's elapsed time.
 	NS int64 `json:"ns"`
 }
 
@@ -143,11 +133,11 @@ type StageStat struct {
 type Result struct {
 	// Loops holds every loop's result, in input order.
 	Loops []LoopResult
-	// Stages is the per-stage time breakdown, in flow order; stages
-	// that did no work are omitted.
+	// Stages is the per-step time breakdown from schedule on, in flow
+	// order; steps that did no work are omitted.
 	Stages []StageStat
-	// FrontendNS is the source-to-graph time (set by Source; zero when
-	// the caller compiled the graphs itself).
+	// FrontendNS is Source's parse and build time, summed over loops
+	// and workers like a StageStat's NS (zero under Run).
 	FrontendNS int64
 	// Scheduled and Failed partition the loops.
 	Scheduled int
@@ -157,21 +147,16 @@ type Result struct {
 	Stats obs.Stats
 }
 
-// Executor is a reusable whole-TU compiler for one machine: it owns a
-// free list of pipeline.Sessions (machine lint verdict, ResMII
-// tables, scheduler slabs) that survives across Run calls, so
-// compiling a stream of translation units pays the per-machine setup
-// once. An Executor is safe for concurrent Run calls; the session
-// pool is shared.
+// Executor is a reusable whole-TU compiler for one machine. Its free
+// list of pipeline.Sessions (machine lint verdict, ResMII tables,
+// scheduler slabs) survives across Run calls, so a stream of
+// translation units pays the per-machine setup once. An Executor is
+// safe for concurrent Run calls; the session pool is shared.
 type Executor struct {
-	m       *machine.Config
-	opts    Options
-	workers int
-	buffer  int
-
-	// sessions is the free list of per-worker scheduling sessions,
-	// the same single-communication idiom as pipeline.Session's
-	// scratch pools.
+	m        *machine.Config
+	opts     Options
+	workers  int
+	buffer   int
 	sessions chan *pipeline.Session
 }
 
@@ -208,40 +193,22 @@ func (e *Executor) putSession(s *pipeline.Session) {
 }
 
 // Source compiles a whole translation unit from loop-language source:
-// frontend, then Run over the compiled loops. The source is parsed on
-// the calling goroutine; the per-loop graph builds then run on up to
-// Options.Workers workers, and all of them finish before Run starts.
-// Frontend errors (parse and graph construction) fail the whole unit
-// with the first error in source order, like any compiler, and no
-// Emit callback fires.
+// lexed whole, then parsed a loop at a time into the stage graph. A
+// frontend error fails the unit with frontend.Compile's error (a
+// syntax error anywhere, else the first build error in source order)
+// and a nil result, and no Emit fires: retired loops are held back
+// until every loop is built. ctx cancels the frontend too.
 func Source(ctx context.Context, src string, m *machine.Config, opts Options) (*Result, error) {
-	t := obs.Now()
-	prog, err := frontend.Parse(src)
+	s, err := frontend.NewStream(src)
 	if err != nil {
 		return nil, err
 	}
-	loops := make([]frontend.Loop, prog.Len())
-	errs := make([]error, prog.Len())
-	// The build is uncancelable: ctx governs Run, not the frontend.
-	pool.ForEach(context.Background(), prog.Len(), opts.Workers, func(i int) {
-		loops[i], errs[i] = buildLoop(prog, i)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	frontendNS := obs.Now().Sub(t).Nanoseconds()
-	res, err := NewExecutor(m, opts).Run(ctx, loops)
-	if res != nil {
-		res.FrontendNS = frontendNS
-	}
-	return res, err
+	return NewExecutor(m, opts).newRun(ctx, s.Len(), s).exec()
 }
 
-// buildLoop is Source's per-loop graph build. No known source parses
-// and then fails to build, so tests replace it to fail a chosen loop.
-var buildLoop = (*frontend.Program).Build
+// buildLoop is the build step. No known source parses and then fails
+// to build, so tests replace it to fail a chosen loop.
+var buildLoop = (*frontend.Parsed).Build
 
 // Run compiles every loop of the translation unit. Per-loop failures
 // land in LoopResult.Err and never abort the unit; the returned error
@@ -249,130 +216,172 @@ var buildLoop = (*frontend.Program).Build
 // is then marked canceled). Results, stage stats, and Emit callbacks
 // are identical for every worker count.
 func (e *Executor) Run(ctx context.Context, loops []frontend.Loop) (*Result, error) {
+	r := e.newRun(ctx, len(loops), nil)
+	for i, l := range loops {
+		res := &r.jobs[i].res
+		res.Name, res.Line, res.Graph = l.Name, l.Line, l.Graph
+	}
+	return r.exec()
+}
+
+// One compiles a single loop through the steps from schedule on,
+// sequentially on the calling goroutine: the clusterd compile
+// endpoint's form. Its result equals the loop's LoopResult from a Run
+// over any unit containing it.
+func (e *Executor) One(ctx context.Context, loop frontend.Loop) *LoopResult {
+	r := e.newRun(ctx, 1, nil)
+	r.jobs[0].res = LoopResult{Name: loop.Name, Line: loop.Line, Graph: loop.Graph}
+	r.steps(stepSchedule, numSteps)(0)
+	return &r.jobs[0].res
+}
+
+// run is the per-Run state; the counters are atomics.
+type run struct {
+	e    *Executor
+	ctx  context.Context
+	jobs []job
+	ns   [numSteps]atomic.Int64
+	cnt  [numSteps]atomic.Int64
+	// src is Source's parser and parseErr its syntax error; built
+	// counts the loops with a graph, and bad is the lowest loop whose
+	// build failed (-1 after a syntax error, len(jobs) before any).
+	src      *frontend.Stream
+	parseErr error
+	built    atomic.Int64
+	bad      atomic.Int64
+}
+
+// job is one loop's state; one stage at a time touches it.
+type job struct {
+	res LoopResult
+	syn frontend.Parsed
+	in  sched.Input
+	sch *sched.Schedule
+}
+
+func (e *Executor) newRun(ctx context.Context, n int, src *frontend.Stream) *run {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := &run{e: e, ctx: ctx, jobs: make([]job, len(loops))}
-	for i := range loops {
-		r.jobs[i].res = LoopResult{Index: i, Name: loops[i].Name, Line: loops[i].Line, Graph: loops[i].Graph}
+	r := &run{e: e, ctx: ctx, jobs: make([]job, n), src: src}
+	for i := range r.jobs {
+		r.jobs[i].res.Index = i
 	}
+	r.bad.Store(int64(n))
+	if src == nil {
+		r.built.Store(int64(n))
+	}
+	return r
+}
 
+// exec streams the loops through the stage graph.
+func (r *run) exec() (*Result, error) {
+	n, w := len(r.jobs), r.e.workers
 	stages := []pool.Stage{
-		{Name: stageNames[stageLint], Workers: 1, Fn: r.stageFn(stageLint, r.lint)},
-		{Name: stageNames[stageSchedule], Workers: e.workers, Fn: r.stageFn(stageSchedule, r.schedule)},
-		{Name: stageNames[stageStagesched], Workers: 1, Fn: r.stageFn(stageStagesched, r.stagesched)},
-		{Name: stageNames[stageRegalloc], Workers: 1, Fn: r.stageFn(stageRegalloc, r.regalloc)},
-		{Name: stageNames[stageEmit], Workers: 1, Fn: r.stageFn(stageEmit, r.emit)},
-		{Name: stageNames[stageValidate], Workers: 1, Fn: r.stageFn(stageValidate, r.validate)},
+		{Name: "parse", Workers: 1, Fn: r.steps(stepParse, stepBuild)},
+		{Name: "build", Workers: w, Fn: r.steps(stepBuild, stepSchedule)},
+		{Name: "schedule", Workers: w, Fn: r.steps(stepSchedule, stepStagesched)},
+		{Name: "back end", Workers: w, Fn: r.steps(stepStagesched, stepValidate)},
+		{Name: "validate", Workers: 1, Fn: r.steps(stepValidate, numSteps)},
 	}
-
-	// The sink reorders completion order back to input order: emit
-	// callbacks fire for loop i only once loops 0..i-1 have retired.
-	// It runs on this goroutine only (pool.RunStages's contract), so
-	// the cursor needs no synchronization.
-	retired := make([]bool, len(r.jobs))
+	if r.src == nil {
+		stages = stages[2:]
+	}
+	if !r.e.opts.Validate {
+		stages = stages[:len(stages)-1]
+	}
+	// The sink runs on this goroutine only (pool.RunStages's contract).
+	// Emit fires for loop i once loops 0..i-1 have retired and the
+	// frontend has built every loop.
+	retired := make([]bool, n)
 	next := 0
-	pool.RunStages(len(r.jobs), e.buffer, stages, func(i int) {
+	pool.RunStages(n, r.e.buffer, stages, func(i int) {
 		retired[i] = true
-		for next < len(retired) && retired[next] {
-			if e.opts.Emit != nil {
-				e.opts.Emit(&r.jobs[next].res)
+		for r.built.Load() == int64(n) && next < n && retired[next] {
+			if r.e.opts.Emit != nil {
+				r.e.opts.Emit(&r.jobs[next].res)
 			}
 			next++
 		}
 	})
-
+	if r.parseErr != nil {
+		return nil, r.parseErr
+	}
+	if bad := r.bad.Load(); bad < int64(n) {
+		return nil, r.jobs[bad].res.Err
+	}
 	res := r.assemble()
-	if err := ctx.Err(); err != nil {
+	if err := r.ctx.Err(); err != nil {
 		return res, fmt.Errorf("compile: translation unit canceled: %w", err)
 	}
 	return res, nil
 }
 
-// One compiles a single loop through the same stage functions,
-// sequentially on the calling goroutine — the form the clusterd
-// compile endpoint uses under its per-loop result cache. Its result
-// is identical to the loop's LoopResult from a Run over any unit
-// containing it.
-func (e *Executor) One(ctx context.Context, loop frontend.Loop) *LoopResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	r := &run{e: e, ctx: ctx, jobs: make([]job, 1)}
-	r.jobs[0].res = LoopResult{Name: loop.Name, Line: loop.Line, Graph: loop.Graph}
-	for idx, fn := range [numStages]func(*job) bool{
-		stageLint:       r.lint,
-		stageSchedule:   r.schedule,
-		stageStagesched: r.stagesched,
-		stageRegalloc:   r.regalloc,
-		stageEmit:       r.emit,
-		stageValidate:   r.validate,
-	} {
-		r.stageFn(idx, fn)(0)
-	}
-	return &r.jobs[0].res
-}
-
-// run is the per-Run state: the job slab plus per-stage counters
-// (atomics — stages of one loop run on different goroutines).
-type run struct {
-	e    *Executor
-	ctx  context.Context
-	jobs []job
-	ns   [numStages]atomic.Int64
-	cnt  [numStages]atomic.Int64
-}
-
-// job carries one loop's intermediate state between stages. Exactly
-// one stage touches a given job at a time (pool.RunStages's ordering
-// guarantee), so the fields need no locks.
-type job struct {
-	res LoopResult
-	in  sched.Input
-	sch *sched.Schedule
-}
-
-// stageFn wraps a stage body with the drain-through checks and the
-// per-stage accounting. A loop that already failed — or a run whose
-// context ended — passes through without work, which is what lets
-// cancellation flush the pipeline without a single select. A body
-// returns false when its stage is disabled, keeping disabled stages
-// out of the per-stage breakdown.
-func (r *run) stageFn(idx int, fn func(*job) bool) func(int) {
+// steps is the stage function that runs steps lo..hi-1 of a loop.
+func (r *run) steps(lo, hi int) func(int) {
 	return func(i int) {
-		j := &r.jobs[i]
-		if j.res.Err != nil {
-			return
-		}
-		if err := r.ctx.Err(); err != nil {
-			j.res.Err = fmt.Errorf("compile: loop %q canceled in %s stage: %w", j.res.Name, stageNames[idx], err)
-			return
-		}
-		t := obs.Now()
-		if fn(j) {
-			r.ns[idx].Add(obs.Now().Sub(t).Nanoseconds())
-			r.cnt[idx].Add(1)
+		for idx := lo; idx < hi; idx++ {
+			r.step(idx, i)
 		}
 	}
 }
 
-func (r *run) lint(j *job) bool {
-	if r.e.opts.NoLint {
-		return false
+// step runs one step of loop i and times it. A failed loop or a
+// disabled step passes through, as does one a frontend failure made
+// moot: the parse goes on past build errors, so a later syntax error
+// wins as in frontend.Compile, a build error at loop k skips the
+// builds after k, and every later stage drains.
+func (r *run) step(idx, i int) {
+	moot := int64(len(r.jobs))
+	if idx == stepParse {
+		moot = 0
+	} else if idx == stepBuild {
+		moot = int64(i)
 	}
-	if err := diag.AsError(lint.Graph(j.res.Graph)); err != nil {
-		j.res.Err = fmt.Errorf("compile: loop %q rejected by lint: %w", j.res.Name, err)
+	j, o := &r.jobs[i], &r.e.opts
+	if j.res.Err != nil || r.bad.Load() < moot || idx == stepStagesched && !o.StageSched || idx == stepValidate && !o.Validate {
+		return
 	}
-	return true
+	if err := r.ctx.Err(); err != nil {
+		j.res.Err = fmt.Errorf("compile: loop %q canceled in %s stage: %w", j.res.Name, stepNames[idx], err)
+		return
+	}
+	t := obs.Now()
+	stepFns[idx](r, j)
+	r.ns[idx].Add(obs.Now().Sub(t).Nanoseconds())
+	r.cnt[idx].Add(1)
 }
 
-func (r *run) schedule(j *job) bool {
+func (r *run) parse(j *job) {
+	p, err := r.src.Next()
+	if err != nil {
+		r.parseErr = err
+		r.bad.Store(-1)
+		return
+	}
+	j.syn, j.res.Name, j.res.Line = p, p.Name(), p.Line()
+}
+
+func (r *run) build(j *job) {
+	l, err := buildLoop(&j.syn)
+	if err != nil {
+		j.res.Err = err
+		k := int64(j.res.Index)
+		for b := r.bad.Load(); k < b && !r.bad.CompareAndSwap(b, k); b = r.bad.Load() {
+		}
+		return
+	}
+	j.res.Graph = l.Graph
+	r.built.Add(1)
+}
+
+func (r *run) schedule(j *job) {
 	s := r.e.takeSession()
 	out, err := s.Schedule(r.ctx, j.res.Graph)
 	r.e.putSession(s)
 	if err != nil {
 		j.res.Err = err
-		return true
+		return
 	}
 	j.res.Outcome = out
 	j.in = sched.Input{
@@ -383,52 +392,42 @@ func (r *run) schedule(j *job) bool {
 		II:          out.II,
 	}
 	j.sch = out.Schedule
-	return true
 }
 
-func (r *run) stagesched(j *job) bool {
-	if !r.e.opts.StageSched {
-		return false
-	}
-	j.res.Moved = stagesched.Optimize(j.in, j.sch)
-	return true
-}
+func (r *run) stagesched(j *job) { j.res.Moved = stagesched.Optimize(j.in, j.sch) }
 
-func (r *run) regalloc(j *job) bool {
+func (r *run) regalloc(j *job) {
 	// The independent schedule check runs here, after any stage moves,
 	// so an invalid schedule can never reach emission.
 	if err := verify.Schedule(j.in, j.sch); err != nil {
 		j.res.Err = fmt.Errorf("compile: loop %q produced an invalid schedule: %w", j.res.Name, err)
-		return true
+		return
 	}
 	j.res.Alloc = regalloc.AllocateMVE(j.in, j.sch)
 	if err := j.res.Alloc.Validate(j.in, j.sch); err != nil {
 		j.res.Err = fmt.Errorf("compile: loop %q register allocation invalid: %w", j.res.Name, err)
 	}
-	return true
 }
 
-func (r *run) emit(j *job) bool {
+func (r *run) emit(j *job) {
 	if r.e.opts.Pipelined {
 		j.res.Text = emit.Pipelined(j.in, j.sch)
 	} else {
 		j.res.Text = emit.Kernel(j.in, j.sch)
 	}
-	return true
 }
 
-func (r *run) validate(j *job) bool {
-	if !r.e.opts.Validate {
-		return false
-	}
+func (r *run) validate(j *job) {
 	if err := sim.Run(j.in, j.sch, j.res.Alloc, r.e.opts.SimIters); err != nil {
 		j.res.Err = fmt.Errorf("compile: loop %q failed sim cross-validation: %w", j.res.Name, err)
 	}
-	return true
 }
 
 func (r *run) assemble() *Result {
-	res := &Result{Loops: make([]LoopResult, len(r.jobs))}
+	res := &Result{
+		Loops:      make([]LoopResult, len(r.jobs)),
+		FrontendNS: r.ns[stepParse].Load() + r.ns[stepBuild].Load(),
+	}
 	for i := range r.jobs {
 		res.Loops[i] = r.jobs[i].res
 		if r.jobs[i].res.Err != nil {
@@ -440,9 +439,9 @@ func (r *run) assemble() *Result {
 			res.Stats.Add(r.jobs[i].res.Outcome.Stats)
 		}
 	}
-	for idx := 0; idx < numStages; idx++ {
+	for idx := stepSchedule; idx < numSteps; idx++ {
 		if n := r.cnt[idx].Load(); n > 0 {
-			res.Stages = append(res.Stages, StageStat{Stage: stageNames[idx], Loops: int(n), NS: r.ns[idx].Load()})
+			res.Stages = append(res.Stages, StageStat{Stage: stepNames[idx], Loops: int(n), NS: r.ns[idx].Load()})
 		}
 	}
 	return res

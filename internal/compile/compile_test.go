@@ -279,7 +279,7 @@ func TestSourceCompilesUnit(t *testing.T) {
 			t.Errorf("stage %s processed %d loops, want 2", st.Stage, st.Loops)
 		}
 	}
-	for _, want := range []string{"lint", "schedule", "regalloc", "emit"} {
+	for _, want := range []string{"schedule", "regalloc", "emit"} {
 		if !seen[want] {
 			t.Errorf("missing stage row %q in %+v", want, res.Stages)
 		}
@@ -347,20 +347,22 @@ func TestSourceMatchesFrontendPlusRun(t *testing.T) {
 // result and no Emit callback, exactly as the serial frontend did.
 func TestSourceBuildFailureFailsUnit(t *testing.T) {
 	src := GeneratedSource()
-	prog, err := frontend.Parse(src)
+	loops, err := frontend.Compile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const k = 5
-	if prog.Len() < k+4 {
-		t.Fatalf("corpus has %d loops, want > %d", prog.Len(), k+3)
+	if len(loops) < k+4 {
+		t.Fatalf("corpus has %d loops, want > %d", len(loops), k+3)
 	}
-	t.Cleanup(func() { buildLoop = (*frontend.Program).Build })
-	buildLoop = func(p *frontend.Program, i int) (frontend.Loop, error) {
-		if i == k || i == k+3 {
-			return frontend.Loop{}, fmt.Errorf("injected build failure in loop %d", i)
+	t.Cleanup(func() { buildLoop = (*frontend.Parsed).Build })
+	buildLoop = func(p *frontend.Parsed) (frontend.Loop, error) {
+		for _, i := range []int{k, k + 3} {
+			if p.Name() == loops[i].Name {
+				return frontend.Loop{}, fmt.Errorf("injected build failure in loop %d", i)
+			}
 		}
-		return p.Build(i)
+		return p.Build()
 	}
 	for _, w := range []int{1, 2, 4} {
 		opts := testOptions()

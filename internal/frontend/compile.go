@@ -29,28 +29,33 @@ type Loop struct {
 // paper's input suite had applied), and repeated loads of the same
 // element reuse one load.
 //
-// Compile is Parse followed by Build of every loop in source order;
-// callers that want the per-loop builds in parallel use those two
-// directly.
+// Compile parses every loop and then builds every graph, so a syntax
+// error anywhere takes precedence over a build error; callers that
+// want to build loops while the rest are parsed use a Stream.
 func Compile(src string) ([]Loop, error) {
-	prog, err := Parse(src)
+	s, err := NewStream(src)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Loop, prog.Len())
-	for i := range out {
-		if out[i], err = prog.Build(i); err != nil {
+	parsed := make([]Parsed, s.Len())
+	for i := range parsed {
+		if parsed[i], err = s.Next(); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]Loop, len(parsed))
+	for i := range parsed {
+		if out[i], err = parsed[i].Build(); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// Program is a parsed translation unit: the source and the syntax
-// slabs of its loops, in source order. It is read-only once Parse
-// returns, so Build may run for different loops on different
-// goroutines.
-type Program struct {
+// program holds the syntax slabs of a translation unit: its loops,
+// in source order, and the statements, expression nodes, names and
+// elements they index.
+type program struct {
 	src   string
 	loops []loopAST
 	stmts []statement
@@ -59,43 +64,93 @@ type Program struct {
 	elems []element // every loop's element table, back to back
 }
 
-// Parse lexes and parses the whole source without building any
-// dependence graph. It reports every lexical and syntax error Compile
-// reports, and rejects a source with no loops.
-func Parse(src string) (*Program, error) {
-	prog, err := parse(src)
+// A Stream parses a translation unit one loop at a time, so a driver
+// can build and schedule the first loops while the parser is still on
+// later ones. A Stream is used from one goroutine; the Parsed loops it
+// returns may be built on any.
+type Stream struct {
+	p       *parser
+	n, done int
+}
+
+// NewStream lexes the whole source, which finds every lexical error
+// and counts the loops, and returns a Stream positioned at the first
+// loop. It rejects a source with no loops.
+func NewStream(src string) (*Stream, error) {
+	s, err := newStream(src)
+	if err == nil && s.n == 0 {
+		err = fmt.Errorf("frontend: no loops in source")
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(prog.loops) == 0 {
-		return nil, fmt.Errorf("frontend: no loops in source")
-	}
-	return prog, nil
+	return s, nil
 }
 
-// Len is the number of loops in the program.
-func (p *Program) Len() int { return len(p.loops) }
+// Len is the number of loops in the source: Next succeeds at most Len
+// times.
+func (s *Stream) Len() int { return s.n }
+
+// Next parses the next loop. After the last loop it also checks that
+// nothing but newlines follows. A syntax error ends the stream.
+func (s *Stream) Next() (Parsed, error) {
+	if s.done == s.n {
+		return Parsed{}, fmt.Errorf("frontend: Next after the last of %d loops", s.n)
+	}
+	if err := s.p.loop(); err != nil {
+		s.done = s.n
+		return Parsed{}, err
+	}
+	if s.done++; s.done == s.n {
+		if err := s.p.end(); err != nil {
+			return Parsed{}, err
+		}
+	}
+	// Views capped at the loop's end: the parser's later appends
+	// write past them, never into them.
+	pr := s.p.prog
+	return Parsed{
+		prog: program{
+			src:   pr.src,
+			stmts: pr.stmts[:len(pr.stmts):len(pr.stmts)],
+			exprs: pr.exprs[:len(pr.exprs):len(pr.exprs)],
+			names: pr.names[:len(pr.names):len(pr.names)],
+			elems: pr.elems[:len(pr.elems):len(pr.elems)],
+		},
+		loop: pr.loops[len(pr.loops)-1],
+	}, nil
+}
+
+// Parsed is one parsed loop, ready to Build. It only reads views of
+// the parser's slabs that end where the loop does, so it stays valid,
+// and race-free, while the Stream goes on.
+type Parsed struct {
+	prog program
+	loop loopAST
+}
+
+// Name is the loop's name and Line the line of its loop keyword.
+func (l *Parsed) Name() string { return l.prog.src[l.loop.name.start:l.loop.name.end] }
+func (l *Parsed) Line() int    { return int(l.loop.line) }
 
 // name is the text of a loop-local name ID of loop l.
-func (p *Program) name(l *loopAST, id int32) string {
+func (p *program) name(l *loopAST, id int32) string {
 	s := p.names[l.names.lo+id]
 	return p.src[s.start:s.end]
 }
 
-// Build compiles loop i of the program to its dependence graph. It
-// only reads the program, so concurrent calls are safe.
-func (p *Program) Build(i int) (Loop, error) {
-	l := &p.loops[i]
-	name := p.src[l.name.start:l.name.end]
-	g, err := p.compileLoop(l)
+// Build compiles the loop to its dependence graph. It only reads the
+// loop, so concurrent calls are safe.
+func (l *Parsed) Build() (Loop, error) {
+	g, err := l.prog.compileLoop(&l.loop)
 	if err != nil {
 		return Loop{}, err
 	}
 	if err := g.Validate(); err != nil {
 		return Loop{}, fmt.Errorf("frontend: loop %q compiles to an unschedulable graph (%v); "+
-			"a value would have to flow backwards within one iteration", name, err)
+			"a value would have to flow backwards within one iteration", l.Name(), err)
 	}
-	return Loop{Name: name, Graph: g, Line: int(l.line)}, nil
+	return Loop{Name: l.Name(), Graph: g, Line: l.Line()}, nil
 }
 
 // absent marks an empty slot of the ID-indexed build tables; every
@@ -115,7 +170,7 @@ type access struct {
 // compiler is the state of one Build. Its tables are runs of one int32
 // slab indexed by the loop's dense name and element IDs.
 type compiler struct {
-	p *Program
+	p *program
 	l *loopAST
 	g *ddg.Graph
 
@@ -136,7 +191,7 @@ type compiler struct {
 
 // compileLoop builds loop l's dependence graph, failing when its
 // memory-dependence analysis would exceed maxMemoryPairs.
-func (p *Program) compileLoop(l *loopAST) (*ddg.Graph, error) {
+func (p *program) compileLoop(l *loopAST) (*ddg.Graph, error) {
 	names, elems := int(l.names.len()), int(l.elems.len())
 	slab := make([]int32, 5*names+1+3*elems+1+int(l.scalars)+2*int(l.operands))
 	cut := func(n int) []int32 {

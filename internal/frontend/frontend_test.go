@@ -354,39 +354,55 @@ func TestFrontendMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestBuildConcurrent builds every loop of one Program from four
-// goroutines at once (the way compile.Source does) and requires the
-// graphs of a serial build. Run under -race it checks that Build only
-// reads the Program.
+// TestBuildConcurrent parses on one goroutine and builds every loop
+// on four others as soon as it is parsed (the way compile.Source
+// does), and requires the graphs of frontend.Compile. Run under -race
+// it checks that a Parsed loop only reads slab entries the parser no
+// longer writes.
 func TestBuildConcurrent(t *testing.T) {
-	prog, err := frontend.Parse(livermore.Source() + loopgen.SourceCorpus(compile.CorpusSeed, 96))
+	src := livermore.Source() + loopgen.SourceCorpus(compile.CorpusSeed, 96)
+	want, err := frontend.Compile(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := frontend.Compile(livermore.Source() + loopgen.SourceCorpus(compile.CorpusSeed, 96))
+	s, err := frontend.NewStream(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const workers = 4
-	got := make([][]frontend.Loop, workers)
+	type item struct {
+		i int
+		p frontend.Parsed
+	}
+	parsed := make(chan item, workers)
+	got := make([]frontend.Loop, s.Len())
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		got[w] = make([]frontend.Loop, prog.Len())
 		wg.Add(1)
-		go func(out []frontend.Loop) {
+		go func() {
 			defer wg.Done()
-			for i := range out {
-				out[i], _ = prog.Build(i)
+			for it := range parsed {
+				got[it.i], _ = it.p.Build()
 			}
-		}(got[w])
+		}()
 	}
+	for i := 0; i < s.Len(); i++ {
+		p, err := s.Next()
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		parsed <- item{i, p}
+	}
+	close(parsed)
 	wg.Wait()
-	for w := range got {
-		for i, l := range got[w] {
-			if l.Graph == nil || l.Name != want[i].Name || l.Line != want[i].Line ||
-				!reflect.DeepEqual(l.Graph.Nodes, want[i].Graph.Nodes) || !reflect.DeepEqual(l.Graph.Edges, want[i].Graph.Edges) {
-				t.Fatalf("worker %d: loop %d (%s) differs from the serial build", w, i, want[i].Name)
-			}
+	if len(got) != len(want) {
+		t.Fatalf("stream has %d loops, Compile %d", len(got), len(want))
+	}
+	for i, l := range got {
+		if l.Graph == nil || l.Name != want[i].Name || l.Line != want[i].Line ||
+			!reflect.DeepEqual(l.Graph.Nodes, want[i].Graph.Nodes) || !reflect.DeepEqual(l.Graph.Edges, want[i].Graph.Edges) {
+			t.Fatalf("loop %d (%s) differs from the serial build", i, want[i].Name)
 		}
 	}
 }
@@ -407,8 +423,8 @@ func TestParseDeepNestingBounded(t *testing.T) {
 		"calls":  "loop c {\n x = " + strings.Repeat("sqrt(", n) + "y" + strings.Repeat(")", n) + "\n}",
 	} {
 		want := fmt.Sprintf("frontend: line 2: expression nested more than %d levels deep", frontend.MaxNesting)
-		if _, err := frontend.Parse(src); err == nil || err.Error() != want {
-			t.Errorf("%s: Parse error %v, want %q", name, err, want)
+		if _, err := frontend.Compile(src); err == nil || err.Error() != want {
+			t.Errorf("%s: Compile error %v, want %q", name, err, want)
 		}
 		if _, err := frontend.ParseSyntax(src); err == nil || err.Error() != want {
 			t.Errorf("%s: ParseSyntax error %v, want %q", name, err, want)
@@ -481,25 +497,31 @@ func TestMemoryPairsBounded(t *testing.T) {
 	}
 }
 
-// TestBuildAllocs gates Program.Build's allocations over Livermore and
+// TestBuildAllocs gates Parsed.Build's allocations over Livermore and
 // the corpus: the graph (header, node and edge slices, node arena),
 // one string holding every node name, one int32 slab of ID-indexed
 // tables, the access list, the graph check's search slab, and at most
 // one regrowth of the edge slice for memory dependences.
 func TestBuildAllocs(t *testing.T) {
-	prog, err := frontend.Parse(livermore.Source() + loopgen.SourceCorpus(compile.CorpusSeed, 96))
+	s, err := frontend.NewStream(livermore.Source() + loopgen.SourceCorpus(compile.CorpusSeed, 96))
 	if err != nil {
 		t.Fatal(err)
 	}
+	parsed := make([]frontend.Parsed, s.Len())
+	for i := range parsed {
+		if parsed[i], err = s.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	const perLoop = 9
 	a := testing.AllocsPerRun(10, func() {
-		for i := 0; i < prog.Len(); i++ {
-			if _, err := prog.Build(i); err != nil {
+		for i := range parsed {
+			if _, err := parsed[i].Build(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
-	if a > float64(perLoop*prog.Len()) {
-		t.Errorf("building %d loops allocates %.0f times, want <= %d per loop", prog.Len(), a, perLoop)
+	if a > float64(perLoop*len(parsed)) {
+		t.Errorf("building %d loops allocates %.0f times, want <= %d per loop", len(parsed), a, perLoop)
 	}
 }

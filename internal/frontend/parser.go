@@ -35,7 +35,7 @@ var (
 	builtinArity = [...]int{callSqrt: 1, callSelect: 3}
 )
 
-// expr is one expression node of its Program's slab. A statement's
+// expr is one expression node of its program's slab. A statement's
 // right-hand side is one contiguous run of the slab, laid out in the
 // order the compiler creates the nodes: an operator after the operands
 // it consumes, a call before its arguments. Scalar and array reads,
@@ -51,7 +51,7 @@ type expr struct {
 // span is a byte range of the source.
 type span struct{ start, end int32 }
 
-// run is an index range [lo, hi) of one of a Program's slabs.
+// run is an index range [lo, hi) of one of a program's slabs.
 type run struct{ lo, hi int32 }
 
 func (r run) len() int32 { return r.hi - r.lo }
@@ -93,7 +93,7 @@ type loopAST struct {
 const maxNesting = 1000
 
 type parser struct {
-	prog  *Program
+	prog  *program
 	toks  []token
 	pos   int
 	depth int // active parseFactor calls
@@ -120,33 +120,53 @@ type elemKey struct {
 
 type localID struct{ stamp, id int32 }
 
-// parse lexes and parses the whole source into a Program.
-func parse(src string) (*Program, error) {
+// newStream lexes the whole source and readies a parser over it. A
+// source with no loops is checked whole here: it is empty, or Next
+// would never see its stray tokens.
+func newStream(src string) (*Stream, error) {
 	toks, n, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	// Every slab is sized by a token count that bounds it: a node per
 	// operand or operator token (two for a unary minus), at most a
-	// name per identifier and an element per subscript.
-	prog := &Program{
-		src:   src,
-		loops: make([]loopAST, 0, n[tokLoop]),
-		stmts: make([]statement, 0, n[tokAssign]),
-		exprs: make([]expr, 0, n[tokIdent]+n[tokNumber]+n[tokPlus]+2*n[tokMinus]+n[tokStar]+n[tokSlash]),
-		names: make([]span, 0, n[tokIdent]),
-		elems: make([]element, 0, n[tokLBrack]),
-	}
+	// name per identifier and an element per subscript. Appends never
+	// outgrow them, so a loop's views keep pointing into the slabs the
+	// parser goes on filling.
 	p := &parser{
-		prog:    prog,
+		prog: &program{
+			src:   src,
+			loops: make([]loopAST, 0, n[tokLoop]),
+			stmts: make([]statement, 0, n[tokAssign]),
+			exprs: make([]expr, 0, n[tokIdent]+n[tokNumber]+n[tokPlus]+2*n[tokMinus]+n[tokStar]+n[tokSlash]),
+			names: make([]span, 0, n[tokIdent]),
+			elems: make([]element, 0, n[tokLBrack]),
+		},
 		toks:    toks,
 		nameIDs: make(map[string]int32, min(n[tokIdent], 64)),
 		elemIDs: make(map[elemKey]int32, min(n[tokLBrack], 64)),
 	}
-	if err := p.program(); err != nil {
+	s := &Stream{p: p, n: n[tokLoop]}
+	if s.n == 0 {
+		if err := p.end(); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// parse lexes and parses the whole source into a program.
+func parse(src string) (*program, error) {
+	s, err := newStream(src)
+	if err != nil {
 		return nil, err
 	}
-	return prog, nil
+	for range s.n {
+		if _, err := s.Next(); err != nil {
+			return nil, err
+		}
+	}
+	return s.p.prog, nil
 }
 
 func (p *parser) text(t token) string { return p.prog.src[t.start:t.end] }
@@ -209,52 +229,60 @@ func (p *parser) element(global, local int32, offset int) int32 {
 	return p.elemLocal[g].id
 }
 
-// program parses "loop name { body }"*.
-func (p *parser) program() error {
+// loop parses the next "loop name { body }". The source holds
+// another loop keyword, so it is not at its end.
+func (p *parser) loop() error {
 	pr := p.prog
+	p.skipNewlines()
+	lt, err := p.expect(tokLoop)
+	if err != nil {
+		return err
+	}
+	nameTok, err := p.expect(tokIdent)
+	if err != nil {
+		return err
+	}
+	p.skipNewlines()
+	if _, err := p.expect(tokLBrace); err != nil {
+		return err
+	}
+	p.stamp++
+	p.cur = loopAST{
+		name:  span{nameTok.start, nameTok.end},
+		line:  lt.line,
+		stmts: run{lo: int32(len(pr.stmts))},
+		names: run{lo: int32(len(pr.names))},
+		elems: run{lo: int32(len(pr.elems))},
+	}
 	for {
 		p.skipNewlines()
-		if p.at(tokEOF) {
-			return nil
+		if p.at(tokRBrace) {
+			p.next()
+			break
 		}
-		lt, err := p.expect(tokLoop)
-		if err != nil {
+		if err := p.statement(); err != nil {
 			return err
 		}
-		nameTok, err := p.expect(tokIdent)
-		if err != nil {
-			return err
-		}
-		p.skipNewlines()
-		if _, err := p.expect(tokLBrace); err != nil {
-			return err
-		}
-		p.stamp++
-		p.cur = loopAST{
-			name:  span{nameTok.start, nameTok.end},
-			line:  lt.line,
-			stmts: run{lo: int32(len(pr.stmts))},
-			names: run{lo: int32(len(pr.names))},
-			elems: run{lo: int32(len(pr.elems))},
-		}
-		for {
-			p.skipNewlines()
-			if p.at(tokRBrace) {
-				p.next()
-				break
-			}
-			if err := p.statement(); err != nil {
-				return err
-			}
-		}
-		p.cur.stmts.hi = int32(len(pr.stmts))
-		p.cur.names.hi = int32(len(pr.names))
-		p.cur.elems.hi = int32(len(pr.elems))
-		if p.cur.stmts.len() == 0 {
-			return fmt.Errorf("frontend: line %d: loop %q has an empty body", lt.line, p.text(nameTok))
-		}
-		pr.loops = append(pr.loops, p.cur)
 	}
+	p.cur.stmts.hi = int32(len(pr.stmts))
+	p.cur.names.hi = int32(len(pr.names))
+	p.cur.elems.hi = int32(len(pr.elems))
+	if p.cur.stmts.len() == 0 {
+		return fmt.Errorf("frontend: line %d: loop %q has an empty body", lt.line, p.text(nameTok))
+	}
+	pr.loops = append(pr.loops, p.cur)
+	return nil
+}
+
+// end checks that only newlines follow the last loop: anything else
+// is where another loop keyword was due.
+func (p *parser) end() error {
+	p.skipNewlines()
+	if p.at(tokEOF) {
+		return nil
+	}
+	_, err := p.expect(tokLoop)
+	return err
 }
 
 // statement parses "target = expr".

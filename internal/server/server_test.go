@@ -736,3 +736,66 @@ func TestMemoryPairHeavySourceIsRejected(t *testing.T) {
 		t.Fatalf("daemon stopped serving after the pair-heavy source: %v", err)
 	}
 }
+
+// TestLongRecurrenceIsRejected: a 749 KB body of 40,000
+// `s = s + a[i+k]` lines compiles to one 80,001-operation recurrence,
+// which would pin a worker for minutes in RecMII and order.Compute.
+// Every endpoint that schedules answers it with a quick SRV002 422,
+// for loop source and for ddg text alike; /v1/lint, which runs in
+// linear time, still lints it, and the daemon keeps serving.
+func TestLongRecurrenceIsRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a 40,000-statement body")
+	}
+	c, _ := newTestServer(t, server.Config{})
+	ctx := context.Background()
+	var b strings.Builder
+	b.WriteString("loop ld {\n")
+	for k := 0; k < 40000; k++ {
+		fmt.Fprintf(&b, "s = s + a[i+%d]\n", k)
+	}
+	b.WriteString("}\n")
+	src := b.String()
+	loops, err := clustersched.CompileSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ddgText strings.Builder
+	if err := ddgio.Write(&ddgText, "ld", loops[0].Graph); err != nil {
+		t.Fatal(err)
+	}
+	rejected := func(what string, start time.Time, err error) {
+		t.Helper()
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusUnprocessableEntity {
+			t.Errorf("%s: err = %v, want a 422 APIError", what, err)
+		} else if d := apiErr.Diagnostics; len(d) != 1 || d[0].Code != server.CodeLoopTooLarge ||
+			!strings.HasPrefix(apiErr.ErrorResponse.Error, server.CodeLoopTooLarge+": ") {
+			t.Errorf("%s: error %q, diagnostics %+v; want one %s", what, apiErr.ErrorResponse.Error, d, server.CodeLoopTooLarge)
+		}
+		if d := time.Since(start); d > 10*time.Second {
+			t.Errorf("%s: rejected after %v", what, d)
+		}
+	}
+	for _, payload := range []struct{ name, ddg, src string }{{"source", "", src}, {"ddg", ddgText.String(), ""}} {
+		start := time.Now()
+		_, _, err := c.Schedule(ctx, server.ScheduleRequest{DDG: payload.ddg, Source: payload.src, Machine: "gp:2:2:1"})
+		rejected(payload.name+" schedule", start, err)
+		start = time.Now()
+		_, err = c.Batch(ctx, server.BatchRequest{DDG: payload.ddg, Source: payload.src, Machine: "gp:2:2:1"})
+		rejected(payload.name+" batch", start, err)
+		start = time.Now()
+		_, err = c.Compile(ctx, server.CompileRequest{DDG: payload.ddg, Source: payload.src, Machine: "gp:2:2:1"})
+		rejected(payload.name+" compile", start, err)
+	}
+	lint, err := c.Lint(ctx, server.LintRequest{Source: src})
+	if err != nil {
+		t.Fatalf("lint: %v", err)
+	}
+	if lint.Errors != 0 {
+		t.Errorf("lint: %d errors, want the source linted without errors", lint.Errors)
+	}
+	if _, _, err := c.Schedule(ctx, server.ScheduleRequest{Source: "loop d { s = s + a[i]*b[i] }", Machine: "gp:2:2:1"}); err != nil {
+		t.Fatalf("daemon stopped serving after the long recurrence: %v", err)
+	}
+}

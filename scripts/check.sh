@@ -16,8 +16,8 @@ go run ./cmd/schedvet ./...
 # sharding) plus the public API that feeds them, the
 # dependence graph's lazily built caches (concurrent readers race to
 # build them), the assignment engine's differential/fuzz-seed tests,
-# and the frontend (compile.Source builds one Program's loops on
-# several workers at once).
+# and the frontend (compile.Source builds loops on several workers
+# while the parser goes on appending to the slabs they view).
 go test -race ./internal/ddg/ ./internal/pool/ ./internal/obs/ ./internal/experiments/ ./internal/explore/ ./internal/cache/ ./internal/server/ ./internal/assign/ ./internal/pipeline/ ./internal/compile/ ./internal/frontend/ .
 # Compile-corpus oracle: every kernel the streaming executor emits for
 # the regression corpus must execute functionally identical to the
@@ -28,7 +28,9 @@ go test -run 'TestCorpusSchedulesAndSimValidates|TestLivermoreValueDifferential'
 # session/batch benchmarks, the kernel emitter's, the MVE register
 # allocator's, the frontend's and the whole-unit compile's benchmarks
 # must still run (allocation regressions fail in the test pass above;
-# this catches benchmarks broken by API drift).
+# this catches benchmarks broken by API drift). BenchmarkSourceCorpus
+# runs both its cases: corpus-compile's two workers, and one worker
+# with sim validation.
 go test -run xxx -bench . -benchtime 2x ./internal/assign/
 go test -run xxx -bench 'BenchmarkRunBatch|BenchmarkSessionSchedule' -benchtime 1x ./internal/pipeline/
 go test -run xxx -bench BenchmarkKernel -benchtime 1x ./internal/emit/
