@@ -37,7 +37,7 @@ func TestProblemBindMatchesFresh(t *testing.T) {
 		opts := Options{Variant: HeuristicIterative}
 		pooled := NewProblem(loops[0], m, opts)
 		for li, g := range loops {
-			pooled.Bind(g)
+			pooled.Bind(g, nil, nil)
 			fresh := NewProblem(g, m, opts)
 			wantParts, wantRes, wantII := runToSuccess(t, fresh, g, m)
 			gotParts, gotRes, gotII := runToSuccess(t, pooled, g, m)
@@ -82,7 +82,7 @@ func TestBindShrinksSlab(t *testing.T) {
 	big, small := chainLoop(1200), chainLoop(8)
 	p := NewProblem(big, m, Options{Variant: HeuristicIterative})
 	grown := cap(p.a.slabInts)
-	p.Bind(small)
+	p.Bind(small, nil, nil)
 	if shrunk := cap(p.a.slabInts); shrunk >= grown {
 		t.Fatalf("slab not shrunk: cap %d after big loop, %d after small", grown, shrunk)
 	}
@@ -90,9 +90,9 @@ func TestBindShrinksSlab(t *testing.T) {
 		t.Fatalf("rebound problem failed on the small loop")
 	}
 	// Same-sized rebinds must not churn the backing array.
-	p.Bind(big)
+	p.Bind(big, nil, nil)
 	stable := cap(p.a.slabInts)
-	p.Bind(chainLoop(1200))
+	p.Bind(chainLoop(1200), nil, nil)
 	if got := cap(p.a.slabInts); got != stable {
 		t.Fatalf("slab churned on same-sized rebind: cap %d -> %d", stable, got)
 	}
@@ -109,12 +109,12 @@ func TestBindWarmRebindAllocFree(t *testing.T) {
 	g1, g2 := chainLoop(64), chainLoop(64)
 	p := NewProblem(g1, m, Options{Variant: HeuristicIterative})
 	for i := 0; i < 4; i++ {
-		p.Bind(g2)
-		p.Bind(g1)
+		p.Bind(g2, nil, nil)
+		p.Bind(g1, nil, nil)
 	}
 	if avg := testing.AllocsPerRun(20, func() {
-		p.Bind(g2)
-		p.Bind(g1)
+		p.Bind(g2, nil, nil)
+		p.Bind(g1, nil, nil)
 	}); avg != 0 {
 		t.Fatalf("warm rebind allocates %.1f times per cycle, want 0", avg)
 	}

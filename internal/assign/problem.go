@@ -42,12 +42,18 @@ func NewProblem(g *ddg.Graph, m *machine.Config, opts Options) *Problem {
 // one. Any Partial slice handed out for the previous graph is
 // invalidated.
 //
+// recs, when non-nil, is g's per-SCC RecMII vector as
+// mii.RecScratch.SCCRecMIIs returns it; the assignment order ranks the
+// recurrences by it instead of computing it again. The order's bound
+// passes poll tr: a Bind under a canceled trace leaves a valid but
+// unranked order, for a caller that checks tr before running.
+//
 // The rebound problem is re-targeted at the same placeholder II a
 // NewProblem starts from, so the first RunAt performs (and traces)
 // the identical reset a freshly constructed problem would — pooling a
 // problem changes allocation counts, never stats or outcomes.
-func (p *Problem) Bind(g *ddg.Graph) {
-	p.a.bind(g, 1)
+func (p *Problem) Bind(g *ddg.Graph, recs []int, tr *obs.Trace) {
+	p.a.bind(g, 1, recs, tr)
 	p.ranOnce = false
 }
 

@@ -125,7 +125,7 @@ func newAssigner(g *ddg.Graph, m *machine.Config, ii int, opts Options) *assigne
 	a.listBuf = make([]int, 0, c)
 	a.fpBuf = make([]int, 0, c)
 	a.fuOwners = make([][]int, c*int(machine.NumFUClasses))
-	a.bind(g, ii)
+	a.bind(g, ii, nil, opts.Trace)
 	return a
 }
 
@@ -137,8 +137,10 @@ func newAssigner(g *ddg.Graph, m *machine.Config, ii int, opts Options) *assigne
 // (or a shrink when the previous loop was much larger). Epoch-stamped
 // mark buffers are zeroed and their epochs reset here: the slab may
 // hold stale stamps from the previous graph that a fresh epoch counter
-// would otherwise collide with.
-func (a *assigner) bind(g *ddg.Graph, ii int) {
+// would otherwise collide with. recs and tr are handed to the
+// assignment order: g's per-SCC RecMII vector when the caller already
+// holds it (nil computes it) and the trace its bound passes poll.
+func (a *assigner) bind(g *ddg.Graph, ii int, recs []int, tr *obs.Trace) {
 	a.g = g
 	a.ii = ii
 	a.opts.Trace = a.ctorTrace
@@ -237,7 +239,7 @@ func (a *assigner) bind(g *ddg.Graph, ii int) {
 			a.prio[i] = i
 		}
 	case a.m.Clustered():
-		a.prio = a.ord.Compute(g, a.m.Latency)
+		a.prio = a.ord.ComputeWith(g, a.m.Latency, recs, tr)
 	default:
 		a.prio = nil
 	}

@@ -118,18 +118,24 @@ type sccCache struct {
 }
 
 // adjacency is the CSR form of the edge list: every per-node list the
-// accessors hand out is a capped run of one of two pointer-free slabs.
-// edges holds each node's out-edges in insertion order, then each
-// node's in-edges; nbrs holds each node's sorted distinct successors,
-// then its predecessors. Node id's out-run is edges[eoff[id]:eoff[id+1]]
-// and its in-run edges[eoff[n+id]:eoff[n+id+1]]; noff indexes nbrs the
-// same way.
+// accessors hand out is a capped run of a pointer-free slab. edges
+// holds each node's out-edges in insertion order, then each node's
+// in-edges: node id's out-run is edges[eoff[id]:eoff[id+1]] and its
+// in-run edges[eoff[n+id]:eoff[n+id+1]]. The distinct-neighbor lists
+// are a second CSR built on first use, since the graphs cluster
+// assignment annotates for the scheduler are only walked by edge.
 type adjacency struct {
 	n     int
 	eoff  []int32
-	noff  []int32
 	edges []Edge
-	nbrs  []int
+	nb    atomic.Pointer[neighbors]
+}
+
+// neighbors holds each node's sorted distinct successors, then its
+// predecessors, in nbrs, indexed by noff the way eoff indexes edges.
+type neighbors struct {
+	noff []int32
+	nbrs []int
 }
 
 // adjacencyCache returns the cache, building it on first use.
@@ -139,17 +145,11 @@ func (g *Graph) adjacencyCache() *adjacency {
 	}
 	n := len(g.Nodes)
 	ne := len(g.Edges)
-	// One int32 slab: the edge offsets, the neighbor offsets, and the
-	// dedup stamps, which are scratch.
-	offs := make([]int32, 5*n+2)
 	a := &adjacency{
 		n:     n,
-		eoff:  offs[: 2*n+1 : 2*n+1],
-		noff:  offs[2*n+1 : 4*n+2 : 4*n+2],
+		eoff:  make([]int32, 2*n+1),
 		edges: make([]Edge, 2*ne),
-		nbrs:  make([]int, 2*ne),
 	}
-	seen := offs[4*n+2:]
 
 	// Counting sort of the edge list into per-node out- and in-runs
 	// (run id and run n+id), preserving insertion order within each
@@ -172,36 +172,52 @@ func (g *Graph) adjacencyCache() *adjacency {
 	}
 	copy(eoff[1:], eoff[:2*n])
 	eoff[0] = 0
+	g.adj.Store(a)
+	return a
+}
+
+// neighbors returns the distinct-neighbor lists, building them on
+// first use under the same racy-but-identical contract as the cache.
+func (a *adjacency) neighbors() *neighbors {
+	if nb := a.nb.Load(); nb != nil {
+		return nb
+	}
+	n := a.n
+	// One int32 slab: the neighbor offsets and the dedup stamps, which
+	// are scratch.
+	offs := make([]int32, 3*n+1)
+	nb := &neighbors{noff: offs[: 2*n+1 : 2*n+1], nbrs: make([]int, len(a.edges))}
+	seen := offs[2*n+1:]
 
 	// Distinct sorted neighbors via stamps: seen[v] == id+1 marks v as
 	// a recorded successor of id, -(id+1) as a recorded predecessor.
-	noff := a.noff
+	noff, eoff := nb.noff, a.eoff
 	k := 0
 	for id := 0; id < n; id++ {
 		noff[id] = int32(k)
 		for _, e := range a.edges[eoff[id]:eoff[id+1]] {
 			if seen[e.To] != int32(id+1) {
 				seen[e.To] = int32(id + 1)
-				a.nbrs[k] = e.To
+				nb.nbrs[k] = e.To
 				k++
 			}
 		}
-		sort.Ints(a.nbrs[noff[id]:k])
+		sort.Ints(nb.nbrs[noff[id]:k])
 	}
 	for id := 0; id < n; id++ {
 		noff[n+id] = int32(k)
 		for _, e := range a.edges[eoff[n+id]:eoff[n+id+1]] {
 			if seen[e.From] != -int32(id+1) {
 				seen[e.From] = -int32(id + 1)
-				a.nbrs[k] = e.From
+				nb.nbrs[k] = e.From
 				k++
 			}
 		}
-		sort.Ints(a.nbrs[noff[n+id]:k])
+		sort.Ints(nb.nbrs[noff[n+id]:k])
 	}
 	noff[2*n] = int32(k)
-	g.adj.Store(a)
-	return a
+	a.nb.Store(nb)
+	return nb
 }
 
 // run returns the capped run [off[k], off[k+1]) of a CSR slab.
@@ -210,10 +226,16 @@ func run[T any](slab []T, off []int32, k int) []T {
 	return slab[lo:hi:hi]
 }
 
-func (a *adjacency) out(id int) []Edge  { return run(a.edges, a.eoff, id) }
-func (a *adjacency) in(id int) []Edge   { return run(a.edges, a.eoff, a.n+id) }
-func (a *adjacency) succs(id int) []int { return run(a.nbrs, a.noff, id) }
-func (a *adjacency) preds(id int) []int { return run(a.nbrs, a.noff, a.n+id) }
+func (a *adjacency) out(id int) []Edge { return run(a.edges, a.eoff, id) }
+func (a *adjacency) in(id int) []Edge  { return run(a.edges, a.eoff, a.n+id) }
+func (a *adjacency) succs(id int) []int {
+	nb := a.neighbors()
+	return run(nb.nbrs, nb.noff, id)
+}
+func (a *adjacency) preds(id int) []int {
+	nb := a.neighbors()
+	return run(nb.nbrs, nb.noff, a.n+id)
+}
 
 // NewGraph returns an empty graph with capacity hints.
 func NewGraph(nodeHint, edgeHint int) *Graph {
@@ -409,7 +431,15 @@ func (g *Graph) zeroDistanceCycle() []int {
 	}
 	// One slab: per-node run offsets, the runs' targets, the node
 	// colors, and the search stack of (node, next run position) frames.
-	slab := make([]int32, 4*n+1+m)
+	// A loop-sized graph's slab lives on the stack, so linting a clean
+	// graph allocates nothing.
+	var small [256]int32
+	var slab []int32
+	if size := 4*n + 1 + m; size <= len(small) {
+		slab = small[:size]
+	} else {
+		slab = make([]int32, size)
+	}
 	off, to := slab[:n+1], slab[n+1:n+1+m]
 	color := slab[n+1+m : 2*n+1+m]
 	stack := slab[2*n+1+m : 2*n+1+m : 4*n+1+m]

@@ -226,10 +226,10 @@ func oracleZeroDistanceCycle(g *Graph) []int {
 	return nil
 }
 
-// checkOracles compares g's cached accessors, SCCs and zero-distance
-// cycle (the only part of Lint the search feeds) with the oracles. The
-// adjacency and SCC checks need every edge endpoint in range, as the
-// accessors do.
+// checkOracles compares g's cached accessors, SCCs, zero-distance
+// cycle (the only part of Lint the search feeds) and start times with
+// the oracles. The adjacency, SCC and start-time checks need every edge
+// endpoint in range, as the accessors do.
 func checkOracles(g *Graph) error {
 	if got, want := g.zeroDistanceCycle(), oracleZeroDistanceCycle(g); !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("zero-distance cycle %v, oracle %v", got, want)
@@ -267,7 +267,7 @@ func checkOracles(g *Graph) error {
 	if got := g.NonTrivialSCCs(); !reflect.DeepEqual(got, wantNT) {
 		return fmt.Errorf("non-trivial SCCs %s, oracle %s", sccString(got), sccString(wantNT))
 	}
-	return nil
+	return checkStartOracles(g, new(StartScratch))
 }
 
 // sameRun reports whether an accessor's slice has the oracle's
@@ -297,11 +297,13 @@ func sccString(cs []*SCC) string {
 }
 
 // literal assembles a graph by struct literal, bypassing AddNode and
-// AddEdge, so edges may dangle or carry negative distances.
+// AddEdge, so edges may dangle or carry negative distances. The node
+// kinds cycle through every kind, so the start-time oracles see
+// varied latencies.
 func literal(n int, edges ...Edge) *Graph {
 	g := &Graph{Edges: edges}
 	for i := 0; i < n; i++ {
-		g.Nodes = append(g.Nodes, &Node{ID: i, Kind: OpALU})
+		g.Nodes = append(g.Nodes, &Node{ID: i, Kind: OpKind(i % NumOpKinds)})
 	}
 	return g
 }

@@ -215,12 +215,19 @@ func TestSCCRecMII(t *testing.T) {
 	if len(comps) != 2 {
 		t.Fatalf("want 2 SCCs, got %d", len(comps))
 	}
-	recs := map[int]bool{}
-	for _, comp := range comps {
-		recs[SCCRecMII(g, comp, lat)] = true
+	var rs RecScratch
+	recs, ok := rs.SCCRecMIIs(g, lat, nil)
+	if !ok || len(recs) != 2 {
+		t.Fatalf("SCCRecMIIs = %v, %v; want two bounds", recs, ok)
 	}
-	if !recs[3] || !recs[18] {
-		t.Errorf("SCC RecMIIs = %v, want {3, 18}", recs)
+	for i, comp := range comps {
+		want := 3
+		if comp.Nodes[0] == c {
+			want = 18
+		}
+		if recs[i] != want {
+			t.Errorf("SCC %v: RecMII %d, want %d", comp.Nodes, recs[i], want)
+		}
 	}
 }
 

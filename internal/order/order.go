@@ -10,17 +10,8 @@ package order
 import (
 	"clustersched/internal/ddg"
 	"clustersched/internal/mii"
+	"clustersched/internal/obs"
 )
-
-// Sets partitions the nodes into priority sets: one set per non-trivial
-// SCC, sorted by decreasing recurrence criticality (SCC RecMII, ties by
-// larger size then smaller minimum node ID), followed by one final set
-// with every node outside any recurrence.
-func Sets(g *ddg.Graph, lat ddg.LatencyFunc) [][]int {
-	var s Scratch
-	comps := g.NonTrivialSCCs()
-	return s.rankedSets(g, comps, s.rec.SCCRecMIIs(g, comps, lat))
-}
 
 // Scratch holds every working buffer of Compute so repeated calls — one
 // per candidate II in the swing scheduler, one per loop in problem
@@ -37,7 +28,6 @@ func Sets(g *ddg.Graph, lat ddg.LatencyFunc) [][]int {
 type Scratch struct {
 	start  ddg.StartScratch
 	rec    mii.RecScratch
-	depth  []int
 	height []int
 
 	ordered []int
@@ -64,10 +54,12 @@ type rankedComp struct {
 	rec   int
 }
 
-// rankedSets is Sets with the SCCs and their RecMIIs already computed,
-// so Compute shares one SCCRecMIIs pass between the recurrence bound
-// and the set ranking. The returned sets alias the scratch (and the
-// graph's SCC cache) and are overwritten by the next call.
+// rankedSets partitions the nodes into priority sets: one set per
+// non-trivial SCC (comps, with their RecMIIs in recs), sorted by
+// decreasing recurrence criticality (SCC RecMII, ties by larger size
+// then smaller minimum node ID), followed by one final set with every
+// node outside any recurrence. The returned sets alias the scratch
+// (and the graph's SCC cache) and are overwritten by the next call.
 func (s *Scratch) rankedSets(g *ddg.Graph, comps []*ddg.SCC, recs []int) [][]int {
 	if cap(s.rcomps) < len(comps) {
 		s.rcomps = make([]rankedComp, len(comps))
@@ -131,32 +123,43 @@ func Compute(g *ddg.Graph, lat ddg.LatencyFunc) []int {
 // element-identical to a fresh-allocation run. The returned slice is
 // overwritten by the next call on the same scratch.
 func (s *Scratch) Compute(g *ddg.Graph, lat ddg.LatencyFunc) []int {
+	return s.ComputeWith(g, lat, nil, nil)
+}
+
+// ComputeWith is Compute for a caller that already holds g's per-SCC
+// RecMII vector (mii.RecScratch.SCCRecMIIs, in g.NonTrivialSCCs()
+// order), so it is not computed again; a nil recs computes it here. The
+// bound passes poll tr; when it is canceled they stop early and the
+// order falls back to the ranking without start times, still a
+// permutation of the nodes, for a caller about to abandon it.
+func (s *Scratch) ComputeWith(g *ddg.Graph, lat ddg.LatencyFunc, recs []int, tr *obs.Trace) []int {
 	if g.NumNodes() == 0 {
 		return nil
 	}
 	n := g.NumNodes()
-	// One SCCRecMIIs pass serves both the recurrence bound (RecMII is
+	// One per-SCC vector serves both the recurrence bound (RecMII is
 	// its maximum) and the criticality ranking of the priority sets.
 	comps := g.NonTrivialSCCs()
-	recs := s.rec.SCCRecMIIs(g, comps, lat)
+	if recs == nil {
+		recs, _ = s.rec.SCCRecMIIs(g, lat, tr)
+	}
 	ii := 1
 	for _, r := range recs {
 		if r > ii {
 			ii = r
 		}
 	}
-	// depth is copied out of the start scratch before LatestStartInto
-	// overwrites the earliest-start vector; RecMII guarantees both
-	// relaxations converge, with an all-zero defensive fallback.
-	estart, ok := g.EarliestStartInto(&s.start, lat, ii)
-	s.depth = growInts(s.depth, n)
+	// depth aliases the start scratch's earliest starts, which the
+	// backward pass only reads. RecMII makes both relaxations converge
+	// on a valid graph; a vector whose pass does not (or is canceled)
+	// falls back to all zeros.
+	depth, ok := g.EarliestStartInto(&s.start, lat, ii, tr)
+	var lstart []int
 	if ok {
-		copy(s.depth, estart)
+		lstart, ok = g.LatestStartFrom(&s.start, ii, depth, tr)
 	} else {
-		zeroInts(s.depth)
+		zeroInts(depth)
 	}
-	depth := s.depth
-	lstart, ok := g.LatestStartInto(&s.start, lat, ii)
 	s.height = growInts(s.height, n)
 	height := s.height
 	if ok {

@@ -30,9 +30,17 @@ func figure6() *ddg.Graph {
 	return g
 }
 
+// rankedSetsOf is the priority-set partition Compute sweeps, ranked by
+// the per-SCC bounds Compute derives when its caller passes none.
+func rankedSetsOf(g *ddg.Graph) [][]int {
+	var s Scratch
+	recs, _ := s.rec.SCCRecMIIs(g, lat, nil)
+	return s.rankedSets(g, g.NonTrivialSCCs(), recs)
+}
+
 func TestSetsPutSCCFirst(t *testing.T) {
 	g := figure6()
-	sets := Sets(g, lat)
+	sets := rankedSetsOf(g)
 	if len(sets) != 2 {
 		t.Fatalf("got %d sets, want 2 (SCC + rest)", len(sets))
 	}
@@ -55,7 +63,7 @@ func TestSetsOrderedByCriticality(t *testing.T) {
 	g.AddEdge(c, d, 0)
 	g.AddEdge(d, c, 1)
 
-	sets := Sets(g, lat)
+	sets := rankedSetsOf(g)
 	if len(sets) != 2 {
 		t.Fatalf("got %d sets, want 2", len(sets))
 	}

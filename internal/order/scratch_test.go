@@ -1,6 +1,7 @@
 package order
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -8,6 +9,8 @@ import (
 
 	"clustersched/internal/ddg"
 	"clustersched/internal/loopgen"
+	"clustersched/internal/mii"
+	"clustersched/internal/obs"
 )
 
 // TestScratchComputeMatchesFresh pins the scratch contract across the
@@ -79,6 +82,38 @@ func TestScratchComputeWarmAllocFree(t *testing.T) {
 		g := g
 		if avg := testing.AllocsPerRun(20, func() { s.Compute(g, lat) }); avg != 0 {
 			t.Fatalf("loop %d: warm Compute allocates %.1f times per call, want 0", gi, avg)
+		}
+	}
+}
+
+// TestComputeWithSharedBounds: handing ComputeWith the per-SCC vector a
+// caller already computed yields exactly the order Compute derives on
+// its own, and a canceled trace still yields a permutation of the
+// nodes.
+func TestComputeWithSharedBounds(t *testing.T) {
+	var s, fresh Scratch
+	var rs mii.RecScratch
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dead := obs.New(ctx, nil, false)
+	for i, g := range loopgen.Suite(loopgen.Options{Seed: 23, Count: 60}) {
+		recs, ok := rs.SCCRecMIIs(g, lat, nil)
+		if !ok {
+			t.Fatal("SCCRecMIIs did not complete")
+		}
+		got := append([]int(nil), s.ComputeWith(g, lat, recs, nil)...)
+		if want := fresh.Compute(g, lat); !reflect.DeepEqual(got, want) {
+			t.Fatalf("loop %d: ComputeWith %v, Compute %v", i, got, want)
+		}
+		perm := s.ComputeWith(g, lat, nil, dead)
+		seen := make([]bool, g.NumNodes())
+		for _, v := range perm {
+			seen[v] = true
+		}
+		for v, ok := range seen {
+			if !ok || len(perm) != g.NumNodes() {
+				t.Fatalf("loop %d: canceled order %v misses node %d", i, perm, v)
+			}
 		}
 	}
 }

@@ -129,9 +129,11 @@ func Run(g *ddg.Graph, m *machine.Config, opts Options) (*Outcome, error) {
 // space is exhausted, which for well-formed inputs indicates a machine
 // too narrow for the loop (or a pathological graph).
 //
-// Cancellation is honoured mid-search: between II candidates, between
-// node placements inside assignment backtracking, and between
-// placements inside the modulo schedulers.
+// Cancellation is honoured before any work and mid-search: inside the
+// bound passes (RecMII and the start-time relaxations poll once per
+// round), between II candidates, between node placements inside
+// assignment backtracking, and between placements inside the modulo
+// schedulers.
 //
 // RunContext is the one-shot form of Session.Schedule: it builds a
 // Session, uses it once and drops it. Callers scheduling many loops on

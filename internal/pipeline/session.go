@@ -27,6 +27,12 @@ import (
 // internal/report/testdata/paper.golden.md.
 const warmSeedPeriod = 4
 
+// noLoop is the empty graph a session's assignment problem is built
+// on before its first Bind, which hands the problem the loop together
+// with the bound vector the session already computed. Binding only
+// reads it, so every session shares it.
+var noLoop = new(ddg.Graph)
+
 // Session is a reusable scheduling context for one machine
 // configuration: it hoists everything the II search would otherwise
 // recompute per call — the machine lint verdict, the per-machine
@@ -58,8 +64,9 @@ type Session struct {
 	// last failed candidate at a refresh point.
 	seed []int
 
-	// recSc backs the session's MII computations (mii.Machine itself
-	// stays immutable and shareable).
+	// recSc backs the session's bound computations, including the
+	// per-SCC RecMII vector handed to prob (mii.Machine itself stays
+	// immutable and shareable).
 	recSc mii.RecScratch
 }
 
@@ -94,23 +101,33 @@ func (s *Session) Schedule(ctx context.Context, g *ddg.Graph) (*Outcome, error) 
 		ctx, cancel = context.WithTimeout(ctx, s.opts.Timeout)
 		defer cancel()
 	}
-	if err := diag.AsError(lint.Graph(g)); err != nil {
-		return nil, fmt.Errorf("pipeline: invalid graph: %w", err)
+	// The structural checks decide validity; lint.Graph only adds
+	// warnings, so it runs just to report an invalid graph.
+	if diag.CountErrors(g.Lint()) > 0 {
+		return nil, fmt.Errorf("pipeline: invalid graph: %w", diag.AsError(lint.Graph(g)))
 	}
 	if s.mErr != nil {
 		return nil, s.mErr
 	}
 
 	tr := obs.New(ctx, s.opts.Observer, s.opts.CollectStats)
+	if err := tr.Err(); err != nil {
+		return nil, fmt.Errorf("pipeline: search canceled before MII: %w", err)
+	}
+	// One bound pass per loop: the per-SCC RecMII vector behind the MII
+	// also ranks the recurrences of the assignment order.
 	tm := tr.BeginPhase(obs.PhaseMII, 0)
-	out := &Outcome{MII: s.mc.MIIWith(g, &s.recSc)}
-	tr.EndPhase(obs.PhaseMII, out.MII, tm, true)
+	bound, recs, ok := s.mc.MIIWith(g, &s.recSc, tr)
+	tr.EndPhase(obs.PhaseMII, bound, tm, ok)
+	if !ok {
+		return nil, fmt.Errorf("pipeline: search canceled computing MII: %w", tr.Err())
+	}
+	out := &Outcome{MII: bound}
 
 	if s.prob == nil {
-		s.prob = assign.NewProblem(g, s.m, s.opts.Assign)
-	} else {
-		s.prob.Bind(g)
+		s.prob = assign.NewProblem(noLoop, s.m, s.opts.Assign)
 	}
+	s.prob.Bind(g, recs, tr)
 
 	// Figure 5's escalation: MII, MII+1, ... until a candidate
 	// schedules. The MII candidate is never warm (there is no earlier

@@ -28,7 +28,7 @@ func IMS(in Input, budgetRatio int) (*Schedule, bool) {
 	}
 	// If the dependence constraints are unsatisfiable at this II (a
 	// recurrence cycle exceeds II), fail immediately.
-	lstart, ok := g.LatestStartInto(&s.start, lat, in.II)
+	lstart, ok := g.LatestStartInto(&s.start, lat, in.II, in.Trace)
 	if !ok {
 		return nil, false
 	}

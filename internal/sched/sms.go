@@ -28,7 +28,7 @@ func SMS(in Input, budgetRatio int) (*Schedule, bool) {
 	if s == nil {
 		s = new(Scratch)
 	}
-	estart0, ok := g.EarliestStartInto(&s.start, lat, in.II)
+	estart0, ok := g.EarliestStartInto(&s.start, lat, in.II, in.Trace)
 	if !ok {
 		return nil, false // recurrence exceeds II; unschedulable
 	}
@@ -37,7 +37,7 @@ func SMS(in Input, budgetRatio int) (*Schedule, bool) {
 	}
 	budget := budgetRatio * n
 
-	prio := s.order.Compute(g, lat)
+	prio := s.order.ComputeWith(g, lat, nil, in.Trace)
 	rank := s.rankBuf(n)
 	for i, v := range prio {
 		rank[v] = i

@@ -69,14 +69,16 @@ const CodeAuditFailed = "SRV001"
 const CodeLoopTooLarge = "SRV002"
 
 // maxLoopOps caps the operations of one loop a request may schedule.
-// Neither RecMII's Bellman-Ford nor order.Compute polls the request's
-// context, and both grow quadratically in a recurrence's length: one
-// recurrence of 4095 operations schedules in ~0.43 s on a 2-vCPU host,
-// one of 8191 in ~1.7 s, and one of 80,001 pinned a worker for ~154 s.
-// The largest loops of the real inputs are far below the cap: 29
-// operations in Livermore, 20 in the compile corpus's source stream,
-// and loopgen.MaxNodes, 161, in the synthetic suite and the test
-// fixtures drawn from it.
+// The bound passes (RecMII, the start-time relaxations) run in
+// near-linear time and poll the request's context like every later
+// phase, but the modulo scheduler's placement still grows
+// quadratically in a recurrence's length. On a 2-vCPU host one
+// `s = s + a[i+k]` recurrence schedules on gp-2c-2b-1p in ~13 ms at
+// 1023 operations, ~36 ms at 2047, ~0.12 s at 4095 and ~0.4 s at 8191
+// (fs-4c and grid take 65-70% of that). The largest loops of the real
+// inputs are far below the cap: 29 operations in Livermore, 20 in the
+// compile corpus's source stream, and loopgen.MaxNodes, 161, in the
+// synthetic suite and the test fixtures drawn from it.
 const maxLoopOps = 4096
 
 // auditError is the error of a finished schedule whose audit returned

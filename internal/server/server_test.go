@@ -739,7 +739,7 @@ func TestMemoryPairHeavySourceIsRejected(t *testing.T) {
 
 // TestLongRecurrenceIsRejected: a 749 KB body of 40,000
 // `s = s + a[i+k]` lines compiles to one 80,001-operation recurrence,
-// which would pin a worker for minutes in RecMII and order.Compute.
+// which would pin a worker in the scheduler's quadratic placement.
 // Every endpoint that schedules answers it with a quick SRV002 422,
 // for loop source and for ddg text alike; /v1/lint, which runs in
 // linear time, still lints it, and the daemon keeps serving.

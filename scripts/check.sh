@@ -25,14 +25,14 @@ go test -race ./internal/ddg/ ./internal/pool/ ./internal/obs/ ./internal/experi
 # value-differential, across two machine configs).
 go test -run 'TestCorpusSchedulesAndSimValidates|TestLivermoreValueDifferential' -count=1 ./internal/compile/
 # Short benchmark smoke pass: the assignment benchmarks, the
-# session/batch benchmarks, the kernel emitter's, the MVE register
+# session/batch benchmarks and the long-recurrence one, the kernel emitter's, the MVE register
 # allocator's, the frontend's and the whole-unit compile's benchmarks
 # must still run (allocation regressions fail in the test pass above;
 # this catches benchmarks broken by API drift). BenchmarkSourceCorpus
 # runs both its cases: corpus-compile's two workers, and one worker
 # with sim validation.
 go test -run xxx -bench . -benchtime 2x ./internal/assign/
-go test -run xxx -bench 'BenchmarkRunBatch|BenchmarkSessionSchedule' -benchtime 1x ./internal/pipeline/
+go test -run xxx -bench 'BenchmarkRunBatch|BenchmarkSessionSchedule|BenchmarkLongRecurrence' -benchtime 1x ./internal/pipeline/
 go test -run xxx -bench BenchmarkKernel -benchtime 1x ./internal/emit/
 go test -run xxx -bench BenchmarkAllocateMVE -benchtime 1x ./internal/regalloc/
 go test -run xxx -bench BenchmarkCompile -benchtime 1x ./internal/frontend/
