@@ -1,7 +1,6 @@
 package main
 
 import (
-	"sort"
 	"strings"
 
 	"clustersched/internal/diag"
@@ -10,13 +9,13 @@ import (
 // modeFlags are the mutually exclusive run modes of clusterbench; the
 // first one the dispatch chain in main recognizes wins, so naming two
 // would silently ignore the rest.
-var modeFlags = []string{"table1", "server", "fleet", "benchjson", "assignjson", "compilejson", "baseline", "trend", "markdown", "livermore", "registers"}
+var modeFlags = []string{"table1", "markdown", "livermore", "registers"}
 
 // flagConflicts validates the combination of explicitly-set flags,
-// returning coded diagnostics (CLI001..CLI007, catalogued in
-// docs/DIAGNOSTICS.md) for combinations that would silently ignore a
-// flag or produce an unattributable measurement. set holds the names
-// the user passed on the command line.
+// returning coded diagnostics (CLI001 and CLI003, catalogued in
+// docs/DIAGNOSTICS.md, in code order) for combinations that would
+// silently ignore a flag. set holds the names the user passed on the
+// command line.
 func flagConflicts(set map[string]bool) []diag.Diagnostic {
 	var diags []diag.Diagnostic
 	var modes []string
@@ -34,22 +33,6 @@ func flagConflicts(set map[string]bool) []diag.Diagnostic {
 		})
 	}
 
-	for _, mode := range []string{"server", "fleet"} {
-		if !set[mode] {
-			continue
-		}
-		for _, f := range []string{"cpuprofile", "memprofile", "trace", "stats", "workers", "warmstart"} {
-			if set[f] {
-				diags = append(diags, diag.Diagnostic{
-					Code:     "CLI002",
-					Severity: diag.Error,
-					Message:  "-" + f + " has no effect with -" + mode + ": scheduling runs in the daemon process",
-					Fix:      "profile or trace the clusterd process instead",
-				})
-			}
-		}
-	}
-
 	if set["table1"] {
 		for _, f := range []string{"scheduler", "stats", "trace", "warmstart", "workers", "exp"} {
 			if set[f] {
@@ -63,42 +46,5 @@ func flagConflicts(set map[string]bool) []diag.Diagnostic {
 		}
 	}
 
-	if set["benchreps"] && !set["benchjson"] && !set["compilejson"] && !set["baseline"] && !set["fleet"] && !set["trend"] {
-		diags = append(diags, diag.Diagnostic{
-			Code:     "CLI004",
-			Severity: diag.Error,
-			Message:  "-benchreps has no effect without -benchjson, -compilejson, -baseline, -fleet, or -trend",
-			Fix:      "add -benchjson, -compilejson, -baseline, -fleet, or -trend, or drop -benchreps",
-		})
-	}
-
-	if set["basetol"] && !set["baseline"] && !set["fleet"] {
-		diags = append(diags, diag.Diagnostic{
-			Code:     "CLI005",
-			Severity: diag.Error,
-			Message:  "-basetol has no effect without -baseline or -fleet",
-			Fix:      "add -baseline or -fleet, or drop -basetol",
-		})
-	}
-
-	if set["trendsha"] && !set["trend"] {
-		diags = append(diags, diag.Diagnostic{
-			Code:     "CLI006",
-			Severity: diag.Error,
-			Message:  "-trendsha has no effect without -trend",
-			Fix:      "add -trend, or drop -trendsha",
-		})
-	}
-
-	if set["trend"] && !set["trendsha"] {
-		diags = append(diags, diag.Diagnostic{
-			Code:     "CLI007",
-			Severity: diag.Error,
-			Message:  "-trend requires -trendsha: a trend row without its git SHA cannot be attributed to a commit",
-			Fix:      "pass -trendsha $(git rev-parse --short HEAD)",
-		})
-	}
-
-	sort.SliceStable(diags, func(i, j int) bool { return diags[i].Code < diags[j].Code })
 	return diags
 }

@@ -27,36 +27,16 @@ func TestFlagConflicts(t *testing.T) {
 		want  []string
 	}{
 		{"no flags", nil, nil},
-		{"one mode", []string{"benchjson"}, nil},
-		{"mode with its own options", []string{"benchjson", "benchreps", "workers"}, nil},
+		{"one mode", []string{"livermore"}, nil},
+		{"mode with its own options", []string{"registers", "csv", "workers"}, nil},
 		{"experiments with options", []string{"exp", "stats", "workers", "scheduler"}, nil},
-		{"profiled local run", []string{"assignjson", "cpuprofile", "memprofile"}, nil},
-		{"two modes", []string{"server", "benchjson"}, []string{"CLI001"}},
+		{"two modes", []string{"markdown", "registers"}, []string{"CLI001"}},
 		{"three modes", []string{"table1", "markdown", "livermore"}, []string{"CLI001"}},
-		{"server with cpuprofile", []string{"server", "cpuprofile"}, []string{"CLI002"}},
-		{"server with trace and stats", []string{"server", "trace", "stats"}, []string{"CLI002", "CLI002"}},
-		{"server with warmstart", []string{"server", "warmstart"}, []string{"CLI002"}},
-		{"server keeps scheduler", []string{"server", "scheduler"}, nil},
 		{"table1 with scheduler", []string{"table1", "scheduler"}, []string{"CLI003"}},
 		{"table1 with exp", []string{"table1", "exp"}, []string{"CLI003"}},
+		{"table1 with local-run flags", []string{"table1", "stats", "trace", "warmstart", "workers"}, []string{"CLI003", "CLI003", "CLI003", "CLI003"}},
 		{"table1 alone", []string{"table1", "seed", "count"}, nil},
-		{"benchreps without benchjson", []string{"benchreps"}, []string{"CLI004"}},
-		{"baseline with its own options", []string{"baseline", "benchreps", "basetol"}, nil},
-		{"baseline with another mode", []string{"baseline", "assignjson"}, []string{"CLI001"}},
-		{"basetol without baseline", []string{"basetol"}, []string{"CLI005"}},
-		{"fleet with basetol", []string{"fleet", "basetol"}, nil},
-		{"fleet with benchreps", []string{"fleet", "benchreps"}, nil},
-		{"fleet keeps scheduler", []string{"fleet", "scheduler"}, nil},
-		{"fleet with cpuprofile", []string{"fleet", "cpuprofile"}, []string{"CLI002"}},
-		{"fleet with another mode", []string{"fleet", "server"}, []string{"CLI001"}},
-		{"trend with its own options", []string{"trend", "trendsha", "benchreps"}, nil},
-		{"trend with another mode", []string{"trend", "trendsha", "baseline"}, []string{"CLI001"}},
-		{"trend without trendsha", []string{"trend"}, []string{"CLI007"}},
-		{"trend without trendsha plus mode", []string{"trend", "baseline"}, []string{"CLI001", "CLI007"}},
-		{"trendsha without trend", []string{"trendsha"}, []string{"CLI006"}},
-		{"compilejson mode", []string{"compilejson", "benchreps"}, nil},
-		{"compilejson with another mode", []string{"compilejson", "benchjson"}, []string{"CLI001"}},
-		{"stacked", []string{"server", "benchjson", "cpuprofile"}, []string{"CLI001", "CLI002"}},
+		{"stacked", []string{"table1", "livermore", "exp"}, []string{"CLI001", "CLI003"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,12 +56,12 @@ func TestFlagConflicts(t *testing.T) {
 // TestFlagConflictDiagnostics pins the diagnostic shape: coded, Error
 // severity, and carrying a fix, so the CLI output stays actionable.
 func TestFlagConflictDiagnostics(t *testing.T) {
-	diags := flagConflicts(set("server", "cpuprofile"))
+	diags := flagConflicts(set("table1", "scheduler"))
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want 1", len(diags))
 	}
 	d := diags[0]
-	if d.Code != "CLI002" || d.Severity.String() != "error" || d.Fix == "" {
+	if d.Code != "CLI003" || d.Severity.String() != "error" || d.Fix == "" {
 		t.Errorf("unexpected diagnostic: %+v", d)
 	}
 }

@@ -80,7 +80,7 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	// The smoke and bench scripts parse this line to find the port.
+	// The multi-process tests and bench/ parse this line to find the port.
 	fmt.Printf("clusterd: listening on http://%s\n", ln.Addr())
 	logger.Printf("cache %d MiB, timeout %v, max in-flight %d",
 		*cacheMB, *timeout, *maxInflight)

@@ -10,6 +10,7 @@ package exact
 import (
 	"fmt"
 
+	"clustersched/internal/assign"
 	"clustersched/internal/ddg"
 	"clustersched/internal/machine"
 	"clustersched/internal/mrt"
@@ -22,6 +23,8 @@ const MaxNodes = 12
 // Optimal returns the smallest II at which some cluster assignment and
 // modulo schedule exists for g on broadcast machine m, searching II
 // from 1 to maxII. It returns maxII+1 when no II in range works.
+// Copies are inserted by assign.Materialize, the model the pipeline
+// itself schedules.
 func Optimal(g *ddg.Graph, m *machine.Config, maxII int) (int, error) {
 	if g.NumNodes() > MaxNodes {
 		return 0, fmt.Errorf("exact: %d nodes exceed the %d-node search bound", g.NumNodes(), MaxNodes)
@@ -39,8 +42,10 @@ func Optimal(g *ddg.Graph, m *machine.Config, maxII int) (int, error) {
 		var enum func(v int) bool
 		enum = func(v int) bool {
 			if v == n {
-				ann, full, targets := annotate(g, clusterOf)
-				return schedulableAt(ann, m, full, targets, ii)
+				// A vector whose copies the machine cannot carry at
+				// this II has no schedule either.
+				res, ok := assign.Materialize(g, m, clusterOf, ii)
+				return ok && schedulableAt(res.Graph, m, res.ClusterOf, res.CopyTargets, ii)
 			}
 			for c := 0; c < k; c++ {
 				clusterOf[v] = c
@@ -55,54 +60,6 @@ func Optimal(g *ddg.Graph, m *machine.Config, maxII int) (int, error) {
 		}
 	}
 	return maxII + 1, nil
-}
-
-// annotate builds the annotated graph for one cluster vector on a
-// broadcast machine: one copy per producer with remote consumers (a
-// value is broadcast at most once), consumer edges rerouted — the same
-// model the assignment pass materializes.
-func annotate(g *ddg.Graph, clusterOf []int) (*ddg.Graph, []int, [][]int) {
-	n := g.NumNodes()
-	out := g.Clone()
-	fullCluster := append([]int(nil), clusterOf...)
-	targetsOf := make([][]int, n)
-	copyOf := make([]int, n)
-	for i := range copyOf {
-		copyOf[i] = -1
-	}
-	for p := 0; p < n; p++ {
-		seen := map[int]bool{}
-		for _, s := range g.Successors(p) {
-			if clusterOf[s] != clusterOf[p] && !seen[clusterOf[s]] {
-				seen[clusterOf[s]] = true
-				targetsOf[p] = append(targetsOf[p], clusterOf[s])
-			}
-		}
-		if len(targetsOf[p]) > 0 {
-			kn := out.AddNode(ddg.OpCopy, "")
-			copyOf[p] = kn
-			fullCluster = append(fullCluster, clusterOf[p])
-			out.AddEdge(p, kn, 0)
-		}
-	}
-	copyTargets := make([][]int, out.NumNodes())
-	for p, kn := range copyOf {
-		if kn >= 0 {
-			copyTargets[kn] = targetsOf[p]
-		}
-	}
-	rerouted := ddg.NewGraph(out.NumNodes(), out.NumEdges())
-	for _, node := range out.Nodes {
-		rerouted.AddNode(node.Kind, node.Name)
-	}
-	for _, e := range out.Edges {
-		if e.From < n && fullCluster[e.From] != fullCluster[e.To] && out.Nodes[e.To].Kind != ddg.OpCopy {
-			rerouted.AddEdge(copyOf[e.From], e.To, e.Distance)
-			continue
-		}
-		rerouted.AddEdge(e.From, e.To, e.Distance)
-	}
-	return rerouted, fullCluster, copyTargets
 }
 
 // schedulableAt exhaustively searches modulo-slot placements with

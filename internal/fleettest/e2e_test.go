@@ -6,9 +6,10 @@
 // byte for byte (modulo the embedded wall-clock timing stats). A
 // second replay after the kill must still be mostly cache hits: the
 // consistent-hash ring only remaps the dead worker's arc, so the
-// survivors' caches stay warm.
+// survivors' caches stay warm. A single-daemon test checks the cache
+// and the graceful drain of one real clusterd process.
 //
-// scripts/check.sh runs this as its kill-a-worker smoke.
+// scripts/check.sh runs these as its multi-process smoke.
 package fleettest
 
 import (
@@ -71,25 +72,26 @@ func buildBinaries(t *testing.T, dir string) (clusterd, clusterlb string) {
 }
 
 // proc is one spawned daemon: its base URL (parsed from the
-// "listening on http://..." line) and the process handle.
+// "listening on http://..." line), the process handle and its log
+// (stderr, safe to read once cmd.Wait has returned).
 type proc struct {
 	url string
 	cmd *exec.Cmd
+	log bytes.Buffer
 }
 
 // startProc launches bin and waits for its listening line.
 func startProc(t *testing.T, bin string, args ...string) *proc {
 	t.Helper()
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = io.Discard
-	stdout, err := cmd.StdoutPipe()
+	p := &proc{cmd: exec.Command(bin, args...)}
+	p.cmd.Stderr = &p.log
+	stdout, err := p.cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Start(); err != nil {
+	if err := p.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	p := &proc{cmd: cmd}
 	t.Cleanup(func() {
 		if p.cmd.Process != nil {
 			p.cmd.Process.Kill()
@@ -249,5 +251,46 @@ func TestFleetKillWorkerEndToEnd(t *testing.T) {
 	}
 	if !deadSeen {
 		t.Errorf("killed worker %s still reported alive: %+v", w1.url, stats.Workers)
+	}
+}
+
+// TestDaemonCacheAndDrain boots one real clusterd: the same loop
+// scheduled twice is a cache miss, then a hit with the same reply, and
+// SIGTERM makes the process drain and exit by itself.
+func TestDaemonCacheAndDrain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process e2e; skipped in -short mode")
+	}
+	clusterd, _ := buildBinaries(t, t.TempDir())
+	d := startProc(t, clusterd, "-addr", "127.0.0.1:0")
+	client := &http.Client{Timeout: 30 * time.Second}
+
+	status, cold, xcache := schedule(t, client, d.url, "drain")
+	if status != http.StatusOK || xcache != "miss" {
+		t.Fatalf("first request: status %d, X-Cache %q, want 200 miss: %s", status, xcache, cold)
+	}
+	status, warm, xcache := schedule(t, client, d.url, "drain")
+	if status != http.StatusOK || xcache != "hit" {
+		t.Fatalf("second request: status %d, X-Cache %q, want 200 hit: %s", status, xcache, warm)
+	}
+	if !bytes.Equal(normalize(cold), normalize(warm)) {
+		t.Errorf("cached reply differs from the computed one\nmiss: %s\nhit:  %s", cold, warm)
+	}
+
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- d.cmd.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Errorf("clusterd exited with %v after SIGTERM\n%s", err, d.log.String())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("clusterd still running 5s after SIGTERM")
+	}
+	if !strings.Contains(d.log.String(), "drained") {
+		t.Errorf("clusterd log has no drain message:\n%s", d.log.String())
 	}
 }

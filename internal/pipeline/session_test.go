@@ -368,7 +368,7 @@ func FuzzPipelineWarmStart(f *testing.F) {
 }
 
 // BenchmarkRunBatch measures batch throughput over the synthetic suite
-// at several worker counts; scripts/bench.sh smoke-runs it.
+// at several worker counts; scripts/check.sh smoke-runs it.
 func BenchmarkRunBatch(b *testing.B) {
 	loops := loopgen.Suite(loopgen.Options{Seed: 1, Count: 100})
 	m := machine.NewBusedGP(2, 2, 1)

@@ -37,19 +37,18 @@ go test -run xxx -bench BenchmarkKernel -benchtime 1x ./internal/emit/
 go test -run xxx -bench BenchmarkAllocateMVE -benchtime 1x ./internal/regalloc/
 go test -run xxx -bench BenchmarkCompile -benchtime 1x ./internal/frontend/
 go test -run xxx -bench BenchmarkSourceCorpus -benchtime 1x ./internal/compile/
-# Baseline-gate smoke: exercises the bench.sh -baseline plumbing (fresh
-# runs parsed and diffed against the committed BENCH JSONs) on a short
-# suite. The loose tolerance keeps a time-shared host from flaking the
-# tier-1 gate; the strict 10% gate is  sh scripts/bench.sh -baseline.
-go run ./cmd/clusterbench -baseline -count 60 -benchreps 2 -basetol 5.0
-# Fleet kill-a-worker smoke: the multi-process e2e boots a clusterlb
-# over three real clusterd processes, SIGKILLs one mid-load, and
-# requires every reply to complete byte-identical to a single-node
-# oracle with the survivors' caches still warm.
-go test -run TestFleetKillWorkerEndToEnd -count=1 ./internal/fleettest/
+# Multi-process smoke: the fleet e2e boots a clusterlb over three real
+# clusterd processes, SIGKILLs one mid-load, and requires every reply
+# to complete byte-identical to a single-node oracle with the
+# survivors' caches still warm; the daemon e2e checks one clusterd's
+# cache hit and its graceful drain on SIGTERM.
+go test -count=1 ./internal/fleettest/
 # The seeded benchmark is a nested module (bench/go.mod) that imports
 # internal/cache, internal/server, and internal/ddgio; the root
-# build and test above do not reach it.
+# build and test above do not reach it. Its TestQuickSmoke runs all
+# four workloads, untraced and traced, under their correctness
+# oracles: with the AllocsPerRun gates of the test pass above, it is
+# the performance smoke of this gate.
 go -C bench vet ./...
 go -C bench test ./...
 sh scripts/lint.sh
