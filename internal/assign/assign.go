@@ -2,6 +2,7 @@ package assign
 
 import (
 	"fmt"
+	"slices"
 
 	"clustersched/internal/ddg"
 	"clustersched/internal/machine"
@@ -390,12 +391,10 @@ func (a *assigner) commit(n, cl int) {
 // backtracking budget is exhausted or no victim can relieve a
 // violation.
 //
-// This is the one live path that still runs on scratch derives: victim
-// attribution needs the deterministic first-violation scan of an
-// assignment that is deliberately inconsistent, which the delta engine
-// by construction never represents. The engine resynchronizes with one
-// rebuild once the assignment is consistent again; forced placements
-// are rare, so the amortized cost is small.
+// n is committed in cluster[] from the start, but the engine never
+// holds it until it fits: each round tries to apply it, and on failure
+// attributes the violation from engine state and evicts the victim
+// with an O(degree) remove. No round derives or rebuilds from scratch.
 //
 //schedvet:alloc-free
 func (a *assigner) forcePlace(n int, cands []candidate) (int, bool) {
@@ -416,18 +415,22 @@ func (a *assigner) forcePlace(n int, cands []candidate) (int, bool) {
 		if a.opts.Trace.Canceled() {
 			return used, false
 		}
-		d := a.deriveScratch()
-		if d.ok {
-			if a.eng != nil && !a.eng.rebuild() {
-				panic("assign: engine resync failed on consistent assignment")
-			}
+		viol, ok := a.settle(n)
+		if ok {
 			return used, true
 		}
-		victim := a.pickVictim(d.viol.candidates, n)
+		victim := a.pickVictim(viol.candidates, n)
 		if victim < 0 {
 			return used, false
 		}
-		a.cluster[victim] = -1
+		if a.eng == nil {
+			a.cluster[victim] = -1
+		} else {
+			a.cluster[n] = -1 // the engine does not hold n yet
+			a.eng.remove(victim)
+			a.cluster[n] = target
+			a.opts.Trace.AssignDeltas(1)
+		}
 		a.opts.Trace.Eviction(a.ii, n, victim)
 		used++
 		a.budget--
@@ -436,6 +439,43 @@ func (a *assigner) forcePlace(n int, cands []candidate) (int, bool) {
 			return used, false
 		}
 	}
+}
+
+// settle reports whether the forced node n fits on its committed
+// cluster as the vector stands, making the placement final if so, or
+// else the first violation a scratch derive of the vector reports. The
+// engine answers with one apply and, when that fails, one
+// engine.violation scan; reference mode derives. Under
+// Options.selfCheck the engine's answer is compared with the derive's.
+func (a *assigner) settle(n int) (violation, bool) {
+	if a.eng == nil {
+		d := a.deriveScratch()
+		return d.viol, d.ok
+	}
+	var ref derived
+	if a.opts.selfCheck {
+		saved := a.opts.Trace
+		a.opts.Trace = nil // the oracle replay must not count
+		ref = *a.deriveScratch()
+		a.opts.Trace = saved
+		ref.viol.candidates = append([]int(nil), ref.viol.candidates...)
+	}
+	target := a.cluster[n]
+	a.cluster[n] = -1
+	ok := a.eng.apply(n, target)
+	a.opts.Trace.AssignDeltas(1)
+	var viol violation
+	if !ok {
+		a.cluster[n] = target
+		viol = a.eng.violation(n)
+	}
+	if a.opts.selfCheck && (ok != ref.ok || ok && a.eng.copies != ref.copies ||
+		viol.kind != ref.viol.kind || viol.cluster != ref.viol.cluster ||
+		!slices.Equal(viol.candidates, ref.viol.candidates)) {
+		panic(fmt.Sprintf("assign: forced node %d on cluster %d: engine (ok %v, %+v), reference (ok %v, copies %d, %+v)",
+			n, target, ok, viol, ref.ok, ref.copies, ref.viol))
+	}
+	return viol, ok
 }
 
 // pickVictim chooses the most recently assigned candidate other than

@@ -50,8 +50,8 @@ func BenchmarkAssignRing(b *testing.B) {
 
 // BenchmarkAssignHighBacktracking starves the copy fabric (one bus,
 // single ports across four clusters) so forced placement and eviction
-// dominate — the worst case for the incremental engine, which must
-// resynchronize with a full rebuild after every forced placement.
+// dominate — the worst case for the incremental engine, which pays a
+// failed apply and a violation scan for every eviction.
 func BenchmarkAssignHighBacktracking(b *testing.B) {
 	benchAssign(b, machine.NewBusedGP(4, 1, 1), HeuristicIterative)
 }

@@ -44,11 +44,10 @@ type engine struct {
 	a   *assigner
 	cap *mrt.Capacity
 
-	// capSave holds the counter snapshot taken at the top of apply.
-	// An apply that fails restores cap wholesale from it — a fixed-size
-	// memcpy via CopyFrom, cheaper than journaling every individual
-	// commit and release on the hot path when the only rollback ever
-	// needed is "back to the start of this apply".
+	// capSave holds the counter snapshot taken at the top of apply and
+	// probe. A failed apply and every probe restore cap wholesale from
+	// it — a fixed-size memcpy via CopyFrom, the only rollback the
+	// engine needs.
 	capSave *mrt.Capacity
 
 	copies  int
@@ -84,7 +83,7 @@ type eRecord struct {
 // newEngine allocates the machine-sized half of an engine — the
 // capacity table and its rollback snapshot, both II-retargetable in
 // place. The per-graph arrays are carved from the assigner's slab by
-// bindSlab, and the caller (assigner.bind) runs the initial rebuild.
+// bindSlab, and the caller (assigner.bind) runs the initial reset.
 func newEngine(a *assigner) *engine {
 	return &engine{
 		a:       a,
@@ -97,7 +96,7 @@ func newEngine(a *assigner) *engine {
 // nodes on a machine of c clusters, taking slices from the assigner's
 // slab. Mark buffers are zeroed and their epochs reset (the
 // slab may hold stale stamps a fresh counter would collide with);
-// everything else is (re)initialized by the rebuild that follows.
+// everything else is (re)initialized by the reset that follows.
 //
 // The record stores are pre-sized to their worst case so the record
 // walk never allocates, even cold: a producer reserves at most c-1
@@ -148,17 +147,29 @@ func ensureRecs(buf []eRecord, n int) []eRecord {
 	return buf[:n]
 }
 
-// reset returns the engine to its freshly built state at a new II: the
-// capacity table is re-sized in place and every derived structure
-// recomputed for the (empty) cluster vector, which the caller must
-// have cleared first. Counted as a full derive, exactly like the
-// rebuild newEngine performs.
+// reset returns the engine to the empty cluster vector at a new II,
+// the only vector it is ever built for (the caller has cleared it): no
+// reservations, no copy records, every successor unassigned. It is the
+// engine's one build, at bind and at every per-II reset, and is
+// counted as a full derive by the work-saved counters.
 //
 //schedvet:alloc-free callees
 func (e *engine) reset(ii int) {
+	a := e.a
+	a.opts.Trace.AssignFullDerive()
 	e.cap.ResetII(ii)
-	if !e.rebuild() {
-		panic("assign: engine rebuild failed on empty assignment")
+	e.copies = 0
+	for p := range e.recs {
+		e.recs[p] = e.recs[p][:0]
+		e.tgts[p] = e.tgts[p][:0]
+		e.usc[p] = len(a.succsOf(p))
+		e.contrib[p] = 0
+	}
+	for i := range e.inRef {
+		e.inRef[i] = 0
+	}
+	for i := range e.pcrSum {
+		e.pcrSum[i], e.picCnt[i] = 0, 0
 	}
 }
 
@@ -234,6 +245,66 @@ func (e *engine) apply(n, cl int) bool {
 	}
 	e.refreshContrib(n)
 	return true
+}
+
+// violation returns the first violation a scratch derive would report,
+// with its victim candidates, for the engine's vector plus node n on
+// a.cluster[n]: the vector an apply of n there has just failed to
+// reach. n's placement changes only its own function-unit pool and the
+// copy records of the producers in {n} ∪ Predecessors(n), so the scan
+// walks that one pool, or replays the engine's records of every other
+// producer and routes only those afresh, charging a scratch table in
+// derive's order. The failing reservation, its resource and its
+// candidates are therefore derive's own, at O(V + copies).
+func (e *engine) violation(n int) violation {
+	a := e.a
+	d := a.scratchDerived()
+	cl, kind := a.cluster[n], a.g.Nodes[n].Kind
+	if !e.cap.ProbeOp(mrt.OpAt(n, cl, kind), 0) {
+		// The engine's vector fits, so derive fails on the first member
+		// of n's pool, in ID order, that no longer fits, and blames the
+		// members it committed before that one.
+		cls := d.cap.ChargeClass(cl, kind)
+		owners := a.victimBuf[:0]
+		for m, mc := range a.cluster {
+			k := a.g.Nodes[m].Kind
+			if mc != cl || d.cap.ChargeClass(cl, k) != cls {
+				continue
+			}
+			if !d.cap.CommitOp(mrt.OpAt(m, cl, k), 0) {
+				break
+			}
+			owners = append(owners, m)
+		}
+		a.victimBuf = owners
+		return violation{kind: violFU, cluster: cl, candidates: owners}
+	}
+	preds := a.predsOf(n)
+	for p, pc := range a.cluster {
+		if pc < 0 {
+			continue
+		}
+		for len(preds) > 0 && preds[0] < p {
+			preds = preds[1:]
+		}
+		if p == n || len(preds) > 0 && preds[0] == p {
+			if !a.routeCopies(d, p) {
+				return d.viol
+			}
+			continue
+		}
+		for _, r := range e.recs[p] {
+			t := e.targets(p, r)
+			if !d.cap.CommitOp(mrt.CopyAt(p, r.src, t), 0) {
+				if r.link < 0 {
+					return a.broadcastViolation(d, p, r.src, t)
+				}
+				return a.linkViolation(d, p, r.src, t[0], r.link)
+			}
+			d.records = append(d.records, copyRecord{producer: p, src: r.src, targets: t, link: r.link})
+		}
+	}
+	panic(fmt.Sprintf("assign: node %d failed to apply but no violation was found", n))
 }
 
 // probeResult carries the selection metrics of one tentative
@@ -453,7 +524,7 @@ func (e *engine) remove(n int) {
 // replaceCopies re-derives producer p's copy records after one of its
 // consumers changed cluster: remove the old reservations, place the
 // new set. Reports false when the new set does not fit (the caller
-// rolls back via the journal).
+// restores the capacity snapshot).
 //
 //schedvet:alloc-free
 func (e *engine) replaceCopies(p int) bool {
@@ -592,73 +663,4 @@ func (e *engine) refreshContrib(v int) {
 	}
 	e.pcrSum[cl] += nc - e.contrib[v]
 	e.contrib[v] = nc
-}
-
-// rebuild recomputes everything from the cluster vector, the engine's
-// own full derive. It runs at construction and after forced placement
-// rewrites the vector behind the engine's back, and reports false when
-// the vector is infeasible (callers only invoke it on consistent
-// state). Counted as a full derive by the work-saved counters.
-func (e *engine) rebuild() bool {
-	a := e.a
-	a.opts.Trace.AssignFullDerive()
-	e.cap.Reset()
-	e.copies = 0
-	for p := range e.recs {
-		e.recs[p] = e.recs[p][:0]
-		e.tgts[p] = e.tgts[p][:0]
-	}
-	v := a.g.NumNodes()
-	c := a.m.NumClusters()
-	for n := 0; n < v; n++ {
-		if cl := a.cluster[n]; cl >= 0 {
-			if !e.cap.CommitOp(mrt.OpAt(n, cl, a.g.Nodes[n].Kind), 0) {
-				return false
-			}
-		}
-	}
-	for p := 0; p < v; p++ {
-		if a.cluster[p] < 0 {
-			continue
-		}
-		added := e.walk(p, true)
-		if added < 0 {
-			return false
-		}
-		e.copies += added
-	}
-	for i := range e.inRef {
-		e.inRef[i] = 0
-	}
-	for i := 0; i < c; i++ {
-		e.pcrSum[i], e.picCnt[i] = 0, 0
-	}
-	for n := 0; n < v; n++ {
-		e.usc[n], e.contrib[n] = 0, 0
-	}
-	for n := 0; n < v; n++ {
-		for _, s := range a.succsOf(n) {
-			if a.cluster[s] < 0 {
-				e.usc[n]++
-			}
-		}
-		if cl := a.cluster[n]; cl >= 0 {
-			for _, q := range a.predsOf(n) {
-				e.inRef[cl*v+q]++
-			}
-		}
-	}
-	for i := 0; i < c; i++ {
-		for q := 0; q < v; q++ {
-			if a.cluster[q] < 0 && e.inRef[i*v+q] > 0 {
-				e.picCnt[i]++
-			}
-		}
-	}
-	for n := 0; n < v; n++ {
-		if a.cluster[n] >= 0 {
-			e.refreshContrib(n)
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"clustersched/internal/loopgen"
 	"clustersched/internal/machine"
 	"clustersched/internal/mii"
+	"clustersched/internal/obs"
 )
 
 // diffMachines is the machine mix the differential layer exercises:
@@ -131,6 +133,44 @@ func TestSelfCheckOnSuite(t *testing.T) {
 			_ = mi
 			_ = li
 		}
+	}
+}
+
+// TestForcedPlacementOracleOnSuite runs every forced placement of the
+// paper's suite both ways: with Options.selfCheck each round's
+// engine-native apply and violation scan is compared with a scratch
+// derive of the same vector (feasibility, violation kind, cluster and
+// candidate list; the victim and the next vector follow from those),
+// and the run panics on the first difference. The II search mirrors a
+// pipeline session's (MII upward, each failed run's partial seeding
+// the next), on the three headline machines and on the starved bus of
+// BenchmarkAssignHighBacktracking.
+func TestForcedPlacementOracleOnSuite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("self-checks the whole suite on four machines")
+	}
+	loops := loopgen.Suite(loopgen.Options{Seed: 1, Count: loopgen.DefaultCount})
+	for _, m := range []*machine.Config{
+		machine.NewBusedGP(2, 2, 1),
+		machine.NewBusedGP(4, 4, 2),
+		machine.NewGrid4(2),
+		machine.NewBusedGP(4, 1, 1),
+	} {
+		tr := obs.New(context.Background(), nil, true)
+		for _, g := range loops {
+			p := NewProblem(g, m, Options{Variant: HeuristicIterative, selfCheck: true})
+			var seed []int
+			for ii := mii.MII(g, m); ii <= mii.MII(g, m)+8; ii++ {
+				if _, ok := p.RunAt(ii, seed, tr); ok {
+					break
+				}
+				seed = append(seed[:0], p.Partial()...)
+			}
+		}
+		if tr.Stats.ForcePlacements == 0 || tr.Stats.Evictions == 0 {
+			t.Fatalf("%s: no forced placement was checked (%v)", m.Name, tr.Stats)
+		}
+		t.Logf("%s: %d forced placements, %d evictions", m.Name, tr.Stats.ForcePlacements, tr.Stats.Evictions)
 	}
 }
 

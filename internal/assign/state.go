@@ -17,14 +17,15 @@ import (
 //   - The incremental engine (engine.go) keeps a capacity table with a
 //     snapshot for apply rollback, per-producer copy records, and
 //     per-cluster PCR/PIC aggregates, all updated in O(degree) when one
-//     node's cluster changes. The main evaluate/commit loop runs on it
-//     exclusively.
+//     node's cluster changes. The evaluate/commit loop and forced
+//     placement, violation attribution included, run on it exclusively.
 //   - derive() recomputes everything from scratch. It is the reference
-//     oracle: forced placement uses it to attribute resource
-//     violations to victim candidates (the one place that needs a
-//     deterministic first-violation scan of an inconsistent
-//     assignment), and the differential tests replay whole runs on it
-//     to prove the engine byte-identical.
+//     oracle: reference mode (Options.scratchEval) runs whole
+//     assignments on it, Options.selfCheck compares every candidate
+//     and every forced-placement violation against it, and the
+//     differential tests use both to prove the engine byte-identical.
+//     Materialize and unified machines, which have no engine, use it
+//     for their one feasibility check.
 type assigner struct {
 	g    *ddg.Graph
 	m    *machine.Config
@@ -107,7 +108,7 @@ type assigner struct {
 	ord order.Scratch
 
 	// ctorTrace is the trace the assigner was constructed with. bind
-	// restores it so a rebound problem traces its construction rebuild
+	// restores it so a rebound problem traces its construction build
 	// exactly like a fresh one would, instead of into whatever per-run
 	// trace the previous RunAt installed.
 	ctorTrace *obs.Trace
@@ -249,10 +250,7 @@ func (a *assigner) bind(g *ddg.Graph, ii int, recs []int, tr *obs.Trace) {
 			a.eng = newEngine(a)
 		}
 		a.eng.bindSlab(v, c)
-		a.eng.cap.ResetII(ii)
-		if !a.eng.rebuild() {
-			panic("assign: engine rebuild failed on empty assignment")
-		}
+		a.eng.reset(ii)
 	}
 	if a.carveOff != total {
 		panic(fmt.Sprintf("assign: slab carve mismatch: used %d of %d", a.carveOff, total))
@@ -495,8 +493,9 @@ func insertionSort(x []int) {
 // order with target clusters ascending, the same deterministic order
 // used when materializing the annotated graph, so the capacity
 // accounting and the final graph always agree. This is the reference
-// the incremental engine is differentially tested against, and the
-// attribution path forced placement uses on inconsistent assignments.
+// the incremental engine is differentially tested against: its first
+// violation and victim candidates are what engine.violation must
+// reproduce from engine state.
 func (a *assigner) derive() *derived {
 	d := &derived{
 		cap: mrt.NewCapacity(a.m, a.ii),
@@ -507,11 +506,18 @@ func (a *assigner) derive() *derived {
 
 // deriveScratch is derive into a per-assigner reusable buffer. The
 // result is valid only until the next deriveScratch call; it is for
-// the call sites that inspect one derived and drop it (seeding,
-// forced-placement attribution, the unified-machine check). Sites
-// that hold two deriveds at once (evaluateScratch) or whose records
-// escape into the result (finalRecords) must use derive instead.
+// the call sites that inspect one derived and drop it (seeding and
+// forced placement in reference mode, the unified-machine and
+// Materialize checks). Sites that hold two deriveds at once
+// (evaluateScratch) or whose records escape into the result
+// (finalRecords) must use derive instead.
 func (a *assigner) deriveScratch() *derived {
+	return a.deriveInto(a.scratchDerived())
+}
+
+// scratchDerived returns the reusable derived, emptied and sized for
+// the current II. engine.violation charges it too.
+func (a *assigner) scratchDerived() *derived {
 	d := a.scratchD
 	if d == nil {
 		d = &derived{
@@ -519,18 +525,18 @@ func (a *assigner) deriveScratch() *derived {
 			rc:  a.scratchRC,
 		}
 		a.scratchD = d
-	} else {
-		d.cap.ResetII(a.ii)
-		for i := range d.rc {
-			d.rc[i] = 0
-		}
-		d.records = d.records[:0]
-		d.arena = d.arena[:0]
-		d.copies = 0
-		d.viol = violation{}
-		d.ok = false
+		return d
 	}
-	return a.deriveInto(d)
+	d.cap.ResetII(a.ii)
+	for i := range d.rc {
+		d.rc[i] = 0
+	}
+	d.records = d.records[:0]
+	d.arena = d.arena[:0]
+	d.copies = 0
+	d.viol = violation{}
+	d.ok = false
+	return d
 }
 
 // deriveInto fills d (assumed zeroed/reset) from the current cluster
@@ -567,20 +573,7 @@ func (a *assigner) deriveInto(d *derived) *derived {
 	}
 
 	for p := 0; p < a.g.NumNodes(); p++ {
-		if a.cluster[p] < 0 {
-			continue
-		}
-		targets := a.remoteTargets(d, p)
-		if len(targets) == 0 {
-			continue
-		}
-		var ok bool
-		if a.m.Network == machine.Broadcast {
-			ok = a.placeBroadcast(d, p, targets)
-		} else {
-			ok = a.placeChained(d, p, targets)
-		}
-		if !ok {
+		if a.cluster[p] >= 0 && !a.routeCopies(d, p) {
 			return d
 		}
 	}
@@ -588,36 +581,55 @@ func (a *assigner) deriveInto(d *derived) *derived {
 	return d
 }
 
+// routeCopies routes producer p's copies to the clusters of its
+// assigned remote consumers and reserves them on d. On failure it
+// fills in d.viol and reports false.
+func (a *assigner) routeCopies(d *derived, p int) bool {
+	targets := a.remoteTargets(d, p)
+	switch {
+	case len(targets) == 0:
+		return true
+	case a.m.Network == machine.Broadcast:
+		return a.placeBroadcast(d, p, targets)
+	default:
+		return a.placeChained(d, p, targets)
+	}
+}
+
 // placeBroadcast reserves a single broadcast copy of p's value to all
 // target clusters. On failure it fills in the violation with victim
 // candidates and reports false.
 func (a *assigner) placeBroadcast(d *derived, p int, targets []int) bool {
 	src := a.cluster[p]
-	if d.cap.CommitOp(mrt.CopyAt(p, src, targets), 0) {
-		d.rc[p] = 1
-		d.copies++
-		d.records = append(d.records, copyRecord{producer: p, src: src, targets: targets, link: -1})
-		return true
+	if !d.cap.CommitOp(mrt.CopyAt(p, src, targets), 0) {
+		d.viol = a.broadcastViolation(d, p, src, targets)
+		return false
 	}
-	// Attribute the failure to a specific resource for victim selection.
+	d.rc[p] = 1
+	d.copies++
+	d.records = append(d.records, copyRecord{producer: p, src: src, targets: targets, link: -1})
+	return true
+}
+
+// broadcastViolation attributes a failed broadcast copy of p from src
+// to its scarce resource and gathers victim candidates.
+func (a *assigner) broadcastViolation(d *derived, p, src int, targets []int) violation {
 	consumers := a.assignedRemoteConsumers(p)
 	switch {
 	case d.cap.FreeReadPortSlots(src) <= 0:
-		d.viol = violation{kind: violReadPort, cluster: src,
+		return violation{kind: violReadPort, cluster: src,
 			candidates: a.copyVictims(d, p, consumers, func(r copyRecord) bool { return r.src == src })}
 	case d.cap.FreeBusSlots() <= 0:
-		d.viol = violation{kind: violBus,
+		return violation{kind: violBus,
 			candidates: a.copyVictims(d, p, consumers, func(r copyRecord) bool { return true })}
-	default:
-		for _, t := range targets {
-			if d.cap.FreeWritePortSlots(t) <= 0 {
-				d.viol = violation{kind: violWritePort, cluster: t,
-					candidates: a.copyVictims(d, p, consumers, func(r copyRecord) bool { return hasTarget(r, t) })}
-				break
-			}
+	}
+	for _, t := range targets {
+		if d.cap.FreeWritePortSlots(t) <= 0 {
+			return violation{kind: violWritePort, cluster: t,
+				candidates: a.copyVictims(d, p, consumers, func(r copyRecord) bool { return hasTarget(r, t) })}
 		}
 	}
-	return false
+	return violation{}
 }
 
 // placeChained reserves point-to-point copies that make p's value

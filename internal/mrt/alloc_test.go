@@ -8,24 +8,22 @@ import (
 )
 
 // Steady-state allocation gates for the probe API: after a warm-up
-// pass that sizes the journal, placement arena, and scratch buffers,
-// probe/commit/release/rollback must not allocate on either fidelity.
+// pass that sizes the placement arena and scratch buffers,
+// probe/commit/release must not allocate on either fidelity.
 
 func TestCapacityHotPathAllocFree(t *testing.T) {
 	m := machine.NewBusedGP(3, 2, 2)
 	c := NewCapacity(m, 4)
-	c.EnableJournal()
 	op := OpAt(0, 0, ddg.OpALU)
 	cp := CopyAt(1, 0, []int{1, 2})
 
 	work := func() {
-		mark := c.JournalMark()
 		c.CommitOp(op, 0)
 		c.CommitOp(cp, 0)
 		c.ReleaseOp(cp)
-		c.JournalRollback(mark)
+		c.ReleaseOp(op)
 	}
-	work() // warm the journal slabs
+	work()
 
 	if n := testing.AllocsPerRun(200, func() {
 		if !c.ProbeOp(op, 0) || !c.ProbeOp(cp, 0) {
@@ -35,7 +33,7 @@ func TestCapacityHotPathAllocFree(t *testing.T) {
 		t.Errorf("Capacity.ProbeOp allocates %.1f/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, work); n != 0 {
-		t.Errorf("Capacity commit/release/rollback allocates %.1f/op, want 0", n)
+		t.Errorf("Capacity commit/release allocates %.1f/op, want 0", n)
 	}
 }
 
@@ -47,7 +45,6 @@ func TestCapacityCopyFromAllocFree(t *testing.T) {
 	src.CommitOp(OpAt(0, 0, ddg.OpALU), 0)
 	src.CommitOp(CopyAt(1, 0, []int{1}), 0)
 	dst := NewCapacity(m, 7)
-	dst.EnableJournal()
 	if n := testing.AllocsPerRun(200, func() { dst.CopyFrom(src) }); n != 0 {
 		t.Errorf("Capacity.CopyFrom allocates %.1f/op, want 0", n)
 	}
@@ -56,19 +53,17 @@ func TestCapacityCopyFromAllocFree(t *testing.T) {
 func TestCycleHotPathAllocFree(t *testing.T) {
 	m := machine.NewBusedGP(3, 2, 2)
 	c := NewCycle(m, 4)
-	c.EnableJournal()
 	op := OpAt(0, 0, ddg.OpALU)
 	cp := CopyAt(1, 0, []int{1, 2})
 	buf := make([]int, 0, 16)
 
 	work := func() {
-		mark := c.JournalMark()
 		c.CommitOp(op, 1)
 		c.CommitOp(cp, 2)
 		c.ReleaseOp(Op{Node: 1})
-		c.JournalRollback(mark)
+		c.ReleaseOp(Op{Node: 0})
 	}
-	work() // warm placements, arena, journal slabs
+	work() // warm placements and arena
 
 	if n := testing.AllocsPerRun(200, func() {
 		if !c.ProbeOp(op, 1) || !c.ProbeOp(cp, 2) {
@@ -78,7 +73,7 @@ func TestCycleHotPathAllocFree(t *testing.T) {
 		t.Errorf("Cycle.ProbeOp allocates %.1f/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, work); n != 0 {
-		t.Errorf("Cycle commit/release/rollback allocates %.1f/op, want 0", n)
+		t.Errorf("Cycle commit/release allocates %.1f/op, want 0", n)
 	}
 	c.CommitOp(op, 1)
 	if n := testing.AllocsPerRun(200, func() {

@@ -9,8 +9,10 @@
 //     modulo schedulers in phase two.
 //
 // Both fidelities speak the same probe API — ProbeOp/CommitOp/ReleaseOp
-// over an Op description, plus the shared Journal — so the assignment
-// engine and the schedulers are written against one surface (see Table).
+// over an Op description — so the assignment engine and the schedulers
+// are written against one surface. Neither keeps a mutation history: a
+// caller that needs to undo a span of tentative placements snapshots
+// the table with CopyFrom and restores it the same way.
 package mrt
 
 import (
@@ -59,10 +61,6 @@ type Capacity struct {
 	linkFree  []int // [cl] aggregate free slot-cycles of incident links
 	busUsed   int
 	busCap    int
-
-	rbBuf []int // rollback scratch for event targets
-
-	Journal
 }
 
 // NewCapacity returns an empty capacity table for machine m at the
@@ -126,9 +124,9 @@ func (c *Capacity) ChargeClass(cl int, k ddg.OpKind) machine.FUClass {
 	return machine.FUClass(c.classOf[cl*ddg.NumOpKinds+int(k)])
 }
 
-// Reset clears all usage counters (capacities are untouched) and
-// discards the journal, returning the table to its freshly constructed
-// state without reallocating.
+// Reset clears all usage counters (capacities are untouched),
+// returning the table to its freshly constructed state without
+// reallocating.
 //
 //schedvet:alloc-free
 func (c *Capacity) Reset() {
@@ -149,13 +147,11 @@ func (c *Capacity) Reset() {
 	for i := range c.linkUsed {
 		c.linkUsed[i] = 0
 	}
-	c.JournalReset()
 }
 
 // ResetII clears the table like Reset and re-sizes every capacity for
 // a new initiation interval, so II-escalation loops can reuse one
-// table instead of allocating per candidate. Journaling state is
-// preserved (the journal itself is discarded).
+// table instead of allocating per candidate.
 //
 //schedvet:alloc-free
 func (c *Capacity) ResetII(ii int) {
@@ -238,9 +234,6 @@ func (c *Capacity) CommitOp(op Op, cycle int) bool {
 		return false
 	}
 	c.applyCharges(op, 1)
-	if c.journaling {
-		c.record(op, 0, false, op.Targets)
-	}
 	return true
 }
 
@@ -275,17 +268,13 @@ func (c *Capacity) ReleaseOp(op Op) bool {
 		}
 	}
 	c.applyCharges(op, -1)
-	if c.journaling {
-		c.record(op, 0, true, op.Targets)
-	}
 	return true
 }
 
 // applyCharges moves op's counters by dir (+1 commit, -1 release),
 // maintaining the O(1) aggregates. It performs no validity checks: the
-// callers (CommitOp after a probe, ReleaseOp after its underflow guard,
-// and rollback restoring known-good state) have already established
-// them.
+// callers (CommitOp after a probe, ReleaseOp after its underflow guard)
+// have already established them.
 //
 //schedvet:alloc-free
 func (c *Capacity) applyCharges(op Op, dir int) {
@@ -309,25 +298,6 @@ func (c *Capacity) applyCharges(op Op, dir int) {
 	for _, t := range op.Targets {
 		c.writeUsed[t] += dir
 	}
-}
-
-// JournalRollback undoes, in reverse order, every commit and release
-// recorded after mark, restoring the table to its state at JournalMark
-// time.
-//
-//schedvet:alloc-free
-func (c *Capacity) JournalRollback(mark int) {
-	for i := len(c.events) - 1; i >= mark; i-- {
-		ev := &c.events[i]
-		op, buf := c.eventOp(ev, c.rbBuf)
-		c.rbBuf = buf
-		if ev.release {
-			c.applyCharges(op, 1)
-		} else {
-			c.applyCharges(op, -1)
-		}
-	}
-	c.truncate(mark)
 }
 
 // Queries -------------------------------------------------------------------
@@ -427,9 +397,8 @@ func (c *Capacity) FreeLinkSlots(li int) int { return c.ii - c.linkUsed[li] }
 
 // CopyFrom overwrites the receiver's counters with src's, a
 // slab-reusing restore for tables of the same machine (it panics
-// otherwise). The receiver's journal is discarded — the recorded
-// history no longer matches — but its journaling mode is kept. Use it
-// where Clone would allocate per restore; keep Clone for cold paths.
+// otherwise). Use it where Clone would allocate per restore; keep
+// Clone for cold paths.
 //
 //schedvet:alloc-free
 func (c *Capacity) CopyFrom(src *Capacity) {
@@ -440,12 +409,10 @@ func (c *Capacity) CopyFrom(src *Capacity) {
 	copy(c.counters, src.counters)
 	c.busUsed = src.busUsed
 	c.busCap = src.busCap
-	c.JournalReset()
 }
 
 // Clone returns an independent deep copy, used for tentative
-// assignments that may be discarded. The clone's journal starts empty
-// and disabled regardless of the receiver's journaling state.
+// assignments that may be discarded.
 func (c *Capacity) Clone() *Capacity {
 	n := NewCapacity(c.m, c.ii)
 	n.CopyFrom(c)

@@ -240,7 +240,7 @@ func TestNewCapacityPanicsOnBadII(t *testing.T) {
 }
 
 // snapshot captures every externally visible counter of a table, for
-// comparing states across journal rollbacks.
+// comparing states across restores.
 func snapshot(c *Capacity, m *machine.Config) []int {
 	var s []int
 	for cl := 0; cl < m.NumClusters(); cl++ {
@@ -266,61 +266,9 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-func TestJournalRollbackRestoresState(t *testing.T) {
-	m := machine.NewBusedGP(2, 2, 1)
-	c := NewCapacity(m, 2)
-	c.EnableJournal()
-
-	if !c.CommitOp(OpAt(0, 0, ddg.OpALU), 0) || !c.CommitOp(CopyAt(1, 0, []int{1}), 0) {
-		t.Fatal("committed placements should fit")
-	}
-	c.JournalReset() // make them permanent
-	base := snapshot(c, m)
-
-	mark := c.JournalMark()
-	if !c.CommitOp(OpAt(2, 1, ddg.OpFMul), 0) {
-		t.Fatal("tentative op should fit")
-	}
-	if !c.CommitOp(CopyAt(3, 1, []int{0}), 0) {
-		t.Fatal("tentative copy should fit")
-	}
-	c.ReleaseOp(CopyAt(1, 0, []int{1})) // mixed direction: removal is journaled too
-	if equalInts(snapshot(c, m), base) {
-		t.Fatal("tentative mutations should have changed the counters")
-	}
-	c.JournalRollback(mark)
-	if got := snapshot(c, m); !equalInts(got, base) {
-		t.Errorf("rollback state %v, want %v", got, base)
-	}
-}
-
-func TestJournalNestedMarks(t *testing.T) {
-	m := machine.NewGrid4(2)
-	c := NewCapacity(m, 3)
-	c.EnableJournal()
-
-	s0 := snapshot(c, m)
-	m1 := c.JournalMark()
-	c.CommitOp(CopyAt(0, 0, []int{1}), 0)
-	s1 := snapshot(c, m)
-	m2 := c.JournalMark()
-	c.CommitOp(CopyAt(1, 1, []int{3}), 0)
-	c.CommitOp(OpAt(2, 3, ddg.OpALU), 0)
-
-	c.JournalRollback(m2)
-	if got := snapshot(c, m); !equalInts(got, s1) {
-		t.Errorf("inner rollback state %v, want %v", got, s1)
-	}
-	c.JournalRollback(m1)
-	if got := snapshot(c, m); !equalInts(got, s0) {
-		t.Errorf("outer rollback state %v, want %v", got, s0)
-	}
-}
-
-func TestResetClearsUsageAndJournal(t *testing.T) {
+func TestResetClearsUsage(t *testing.T) {
 	m := machine.NewGrid4(1)
 	c := NewCapacity(m, 2)
-	c.EnableJournal()
 	fresh := snapshot(c, m)
 
 	c.CommitOp(OpAt(0, 0, ddg.OpALU), 0)
@@ -328,44 +276,5 @@ func TestResetClearsUsageAndJournal(t *testing.T) {
 	c.Reset()
 	if got := snapshot(c, m); !equalInts(got, fresh) {
 		t.Errorf("post-Reset state %v, want fresh %v", got, fresh)
-	}
-	if c.JournalMark() != 0 {
-		t.Errorf("JournalMark after Reset = %d, want 0", c.JournalMark())
-	}
-}
-
-func TestCloneDoesNotInheritJournal(t *testing.T) {
-	m := machine.NewBusedGP(2, 1, 1)
-	c := NewCapacity(m, 1)
-	c.EnableJournal()
-	c.CommitOp(OpAt(0, 0, ddg.OpALU), 0)
-
-	n := c.Clone()
-	if n.JournalMark() != 0 {
-		t.Errorf("clone journal mark = %d, want 0 (fresh journal)", n.JournalMark())
-	}
-	// Mutating the clone must not journal into (or disturb) the parent.
-	n.CommitOp(OpAt(1, 1, ddg.OpALU), 0)
-	c.JournalRollback(0)
-	if !n.ProbeOp(OpAt(2, 0, ddg.OpALU), 0) {
-		t.Error("parent rollback leaked into the clone")
-	}
-}
-
-// TestJournalSnapshotsTargets pins the aliasing contract: the journal
-// must snapshot Op.Targets, so rollback is correct even when the caller
-// rewrites the target buffer after the commit or release returns.
-func TestJournalSnapshotsTargets(t *testing.T) {
-	m := machine.NewBusedGP(3, 2, 1)
-	c := NewCapacity(m, 2)
-	c.EnableJournal()
-	base := snapshot(c, m)
-
-	tgts := []int{1, 2}
-	c.CommitOp(CopyAt(0, 0, tgts), 0)
-	tgts[0], tgts[1] = 2, 2 // caller reuses the buffer
-	c.JournalRollback(0)
-	if got := snapshot(c, m); !equalInts(got, base) {
-		t.Errorf("rollback after buffer reuse %v, want %v", got, base)
 	}
 }

@@ -270,65 +270,6 @@ func TestCycleClonePanicsAcrossMachines(t *testing.T) {
 	c.CopyFrom(NewCycle(machine.NewGrid4(1), 2))
 }
 
-// TestCycleJournalRollbackExactRows pins the exact-row restore
-// contract: undoing a release must re-occupy the same resource
-// instances the node originally held, not whatever a fresh first-free
-// scan would pick.
-func TestCycleJournalRollbackExactRows(t *testing.T) {
-	m := machine.NewBusedFS(1, 1, 1)
-	m.Buses = 0
-	c := NewCycle(m, 1)
-	c.EnableJournal()
-
-	// The two integer units: node 0 on the first, node 1 on the second.
-	c.CommitOp(OpAt(0, 0, ddg.OpALU), 0)
-	c.CommitOp(OpAt(1, 0, ddg.OpShift), 0)
-	c.JournalReset()
-	before := c.String()
-
-	mark := c.JournalMark()
-	// Release both, commit a decoy (takes the first free unit), release
-	// it: a rollback that re-placed via first-free would now permute the
-	// unit assignment of nodes 0 and 1.
-	c.ReleaseOp(Op{Node: 0})
-	c.ReleaseOp(Op{Node: 1})
-	c.CommitOp(OpAt(7, 0, ddg.OpBranch), 0)
-	c.ReleaseOp(Op{Node: 7})
-	c.JournalRollback(mark)
-
-	if got := c.String(); got != before {
-		t.Errorf("rollback state:\n%s\nwant:\n%s", got, before)
-	}
-	if c.PlacementOf(7) != nil {
-		t.Error("decoy should be gone after rollback")
-	}
-	if p := c.PlacementOf(0); p == nil || c.PlacementOf(1) == nil {
-		t.Fatal("rolled-back releases should be placed again")
-	}
-}
-
-func TestCycleJournalRollbackCopies(t *testing.T) {
-	m := machine.NewGrid4(2)
-	c := NewCycle(m, 2)
-	c.EnableJournal()
-	c.CommitOp(CopyAt(0, 0, []int{1}), 0)
-	c.JournalReset()
-	before := c.String()
-
-	mark := c.JournalMark()
-	c.CommitOp(CopyAt(1, 1, []int{3}), 0)
-	c.ReleaseOp(Op{Node: 0})
-	c.CommitOp(CopyAt(2, 0, []int{2}), 0)
-	c.JournalRollback(mark)
-
-	if got := c.String(); got != before {
-		t.Errorf("rollback state:\n%s\nwant:\n%s", got, before)
-	}
-	if c.PlacementOf(1) != nil || c.PlacementOf(2) != nil {
-		t.Error("rolled-back commits should be unplaced")
-	}
-}
-
 // TestCycleResetIIShrinks checks the slab retention policy: a table
 // retargeted from a huge II to a small one drops its oversized backing
 // arrays instead of pinning them, while small-II churn (the normal

@@ -177,9 +177,9 @@ type Stats struct {
 	// AssignDeltas : AssignFullDerives is the derive work saved.
 	AssignDeltas int `json:"assign_deltas"`
 	// AssignFullDerives counts the from-scratch resource derives the
-	// assignment phase still performs: forced-placement violation
-	// attribution, engine resynchronization after evictions, and the
-	// reference-oracle paths.
+	// assignment phase still performs: the engine builds (one per bind
+	// and per-II reset), the unified-machine check, and the
+	// reference-oracle paths. Forced placement performs none.
 	AssignFullDerives int `json:"assign_full_derives"`
 	// IIWarmStarts counts II probes seeded from the partial assignment
 	// of an earlier failed candidate instead of starting from scratch.
@@ -251,6 +251,17 @@ type Trace struct {
 // disabled path — when there is nothing to do: no observer, stats not
 // requested, and a context that can never be canceled.
 func New(ctx context.Context, o Observer, collectStats bool) *Trace {
+	if o == nil && !collectStats && (ctx == nil || ctx.Done() == nil) {
+		return nil
+	}
+	return new(Trace).Renew(ctx, o, collectStats)
+}
+
+// Renew re-arms t for a new run and returns it, with zeroed Stats: the
+// allocation-free New for an owner that runs one search at a time and
+// keeps one Trace across runs. It returns nil, leaving t alone, exactly
+// when New would.
+func (t *Trace) Renew(ctx context.Context, o Observer, collectStats bool) *Trace {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -258,7 +269,8 @@ func New(ctx context.Context, o Observer, collectStats bool) *Trace {
 	if o == nil && !collectStats && done == nil {
 		return nil
 	}
-	return &Trace{ctx: ctx, done: done, obs: o}
+	*t = Trace{ctx: ctx, done: done, obs: o}
+	return t
 }
 
 // Canceled reports whether the run's context is done. It is the cheap

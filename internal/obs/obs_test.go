@@ -33,22 +33,32 @@ func TestNilTraceIsInert(t *testing.T) {
 }
 
 func TestNewReturnsNilWhenNothingToDo(t *testing.T) {
-	if tr := New(context.Background(), nil, false); tr != nil {
-		t.Error("New with background ctx, no observer, no stats should be nil")
-	}
-	if tr := New(nil, nil, false); tr != nil {
-		t.Error("New with nil ctx should behave like background")
-	}
-	if tr := New(context.Background(), nil, true); tr == nil {
-		t.Error("stats request must produce a trace")
-	}
-	if tr := New(context.Background(), &Collector{}, false); tr == nil {
-		t.Error("an observer must produce a trace")
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if tr := New(ctx, nil, false); tr == nil {
-		t.Error("a cancelable context must produce a trace")
+	var kept Trace
+	kept.Stats.Evictions = 7
+	for _, c := range []struct {
+		name    string
+		ctx     context.Context
+		o       Observer
+		stats   bool
+		wantNil bool
+	}{
+		{"background ctx, no observer, no stats", context.Background(), nil, false, true},
+		{"nil ctx", nil, nil, false, true},
+		{"stats request", context.Background(), nil, true, false},
+		{"observer", context.Background(), &Collector{}, false, false},
+		{"cancelable ctx", ctx, nil, false, false},
+	} {
+		if tr := New(c.ctx, c.o, c.stats); (tr == nil) != c.wantNil {
+			t.Errorf("New, %s: nil = %v, want %v", c.name, tr == nil, c.wantNil)
+		}
+		// Renew re-arms a kept Trace exactly when New would build one.
+		tr := kept.Renew(c.ctx, c.o, c.stats)
+		if (tr == nil) != c.wantNil || tr != nil && (tr != &kept || tr.Stats != (Stats{})) {
+			t.Errorf("Renew, %s: got %p with %+v, want nil %v or the kept trace, zeroed", c.name, tr, kept.Stats, c.wantNil)
+		}
+		kept.Stats.Evictions = 7
 	}
 }
 

@@ -68,6 +68,10 @@ type Session struct {
 	// per-SCC RecMII vector handed to prob (mii.Machine itself stays
 	// immutable and shareable).
 	recSc mii.RecScratch
+
+	// trace is renewed by every Schedule call that observes, counts or
+	// can be canceled; calls that do none of these run on a nil trace.
+	trace obs.Trace
 }
 
 // NewSession builds a session for machine m. The machine is linted
@@ -110,7 +114,7 @@ func (s *Session) Schedule(ctx context.Context, g *ddg.Graph) (*Outcome, error) 
 		return nil, s.mErr
 	}
 
-	tr := obs.New(ctx, s.opts.Observer, s.opts.CollectStats)
+	tr := s.trace.Renew(ctx, s.opts.Observer, s.opts.CollectStats)
 	if err := tr.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: search canceled before MII: %w", err)
 	}

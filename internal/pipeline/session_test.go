@@ -428,4 +428,16 @@ func BenchmarkSessionSchedule(b *testing.B) {
 			w.schedule(i % w.pairs())
 		}
 	})
+	// The tail of session-warm-3machines: one op is one warm call on a
+	// pair whose warm-up call spent evictions, chosen by that counter,
+	// not by timing.
+	b.Run("session-warm-evicting", func(b *testing.B) {
+		w := newWarmSuite(loopgen.DefaultCount)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.schedule(w.evicting[i%len(w.evicting)])
+		}
+		b.ReportMetric(float64(len(w.evicting)), "pairs")
+	})
 }
