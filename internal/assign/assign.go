@@ -33,14 +33,13 @@ type Result struct {
 	Evictions int
 }
 
-// IsCopy reports whether node id is an inserted copy operation.
-func (r *Result) IsCopy(id int) bool { return id >= r.NumOriginal }
-
 // Run assigns every operation of g to a cluster of m at initiation
 // interval ii. It reports false when no valid assignment was found at
 // this II (the caller then retries with ii+1, per the paper's
 // Figure 5 process). One-shot form of Problem.RunAt; escalation loops
 // should build one Problem and probe it instead.
+//
+//schedvet:test-api the one-shot assignment the scheduler, emit and allocator tests build fixtures with
 func Run(g *ddg.Graph, m *machine.Config, ii int, opts Options) (*Result, bool) {
 	if ii <= 0 {
 		panic(fmt.Sprintf("assign: non-positive II %d", ii))
@@ -240,14 +239,6 @@ func (a *assigner) sccMatesScan(n int) []int {
 		}
 	}
 	return mates
-}
-
-// maxReservableCopiesCap is mrt.Capacity.MaxReservableCopies, which the
-// charge-plan table answers in O(1) from its incident-link aggregate.
-//
-//schedvet:alloc-free
-func (a *assigner) maxReservableCopiesCap(cap *mrt.Capacity, cl int) int {
-	return cap.MaxReservableCopies(cl)
 }
 
 // feasibleList collects the feasible candidate clusters into a

@@ -297,7 +297,7 @@ func checkResult(t *testing.T, g *ddg.Graph, m *machine.Config, res *Result) boo
 			return false
 		}
 		isCopy := res.Graph.Nodes[n].Kind == ddg.OpCopy
-		if isCopy != res.IsCopy(n) {
+		if isCopy != (n >= res.NumOriginal) {
 			t.Logf("node %d copy classification mismatch", n)
 			return false
 		}

@@ -156,7 +156,7 @@ func TestForcedPlacementOracleOnSuite(t *testing.T) {
 		machine.NewGrid4(2),
 		machine.NewBusedGP(4, 1, 1),
 	} {
-		tr := obs.New(context.Background(), nil, true)
+		tr := new(obs.Trace).Renew(context.Background(), nil, true)
 		for _, g := range loops {
 			p := NewProblem(g, m, Options{Variant: HeuristicIterative, selfCheck: true})
 			var seed []int

@@ -606,12 +606,6 @@ func (b *Balancer) handleStatsz(rw http.ResponseWriter, r *http.Request) {
 	rw.Write(body)
 }
 
-// Counters exposes the fleet counters (for tests and benchmarks).
-func (b *Balancer) Counters() obs.FleetStats { return b.counters.Snapshot() }
-
-// Members exposes the membership table snapshot.
-func (b *Balancer) Members() membership.Snapshot { return b.members.Snapshot() }
-
 // StatszResponse is clusterlb's /statsz body.
 type StatszResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`

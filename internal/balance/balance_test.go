@@ -131,7 +131,7 @@ func TestScheduleRoutesToRingOwnerAndCaches(t *testing.T) {
 			t.Errorf("warm reply differs from cold reply")
 		}
 	}
-	stats := b.Counters()
+	stats := b.counters.Snapshot()
 	if stats.RingRouted != 5 || stats.ChoiceRouted != 0 {
 		t.Errorf("ring/choice = %d/%d, want 5/0", stats.RingRouted, stats.ChoiceRouted)
 	}
@@ -153,7 +153,7 @@ func TestFailoverWhenRingOwnerIsDead(t *testing.T) {
 	if worker == dead.URL {
 		t.Fatalf("reply attributed to the dead worker")
 	}
-	stats := b.Counters()
+	stats := b.counters.Snapshot()
 	if stats.Failovers < 1 {
 		t.Errorf("failovers = %d, want >= 1", stats.Failovers)
 	}
@@ -162,11 +162,11 @@ func TestFailoverWhenRingOwnerIsDead(t *testing.T) {
 	}
 	// The rebuilt ring has remapped the arc: the same request now
 	// routes straight to a survivor with no further failovers.
-	before := b.Counters().Failovers
+	before := b.counters.Snapshot().Failovers
 	if status, _, _, _ := scheduleVia(t, lb.URL, req); status != http.StatusOK {
 		t.Fatalf("post-rebalance status = %d", status)
 	}
-	if after := b.Counters().Failovers; after != before {
+	if after := b.counters.Snapshot().Failovers; after != before {
 		t.Errorf("post-rebalance request still failed over (%d -> %d)", before, after)
 	}
 }
@@ -201,7 +201,7 @@ func TestHedgeRescuesStalledWorker(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("hedged request took %v", elapsed)
 	}
-	stats := b.Counters()
+	stats := b.counters.Snapshot()
 	if stats.Hedges < 1 || stats.HedgeWins < 1 {
 		t.Errorf("hedges/wins = %d/%d, want >= 1 each", stats.Hedges, stats.HedgeWins)
 	}
@@ -232,7 +232,7 @@ func TestBatchAndLintProxy(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("lint status = %d", resp.StatusCode)
 	}
-	if stats := b.Counters(); stats.ChoiceRouted != 2 {
+	if stats := b.counters.Snapshot(); stats.ChoiceRouted != 2 {
 		t.Errorf("choice_routed = %d, want 2", stats.ChoiceRouted)
 	}
 }

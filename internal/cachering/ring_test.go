@@ -62,7 +62,7 @@ func TestRemovalOnlyRemapsTheLostArc(t *testing.T) {
 			continue
 		}
 		moved++
-		owners := full.Owners(k, 2)
+		owners := owners(full, k, 2)
 		if len(owners) != 2 || owners[0] != "w1" {
 			t.Fatalf("owners(%q) = %v, want w1 first", k, owners)
 		}
@@ -75,10 +75,11 @@ func TestRemovalOnlyRemapsTheLostArc(t *testing.T) {
 	}
 }
 
+// TestOwnersDistinctAndBounded pins the fallback-order oracle itself.
 func TestOwnersDistinctAndBounded(t *testing.T) {
 	r := New(1, []string{"a", "b", "c"}, 16)
 	for _, k := range keys(50) {
-		owners := r.Owners(k, 5)
+		owners := owners(r, k, 5)
 		if len(owners) != 3 {
 			t.Fatalf("owners(%q, 5) = %v, want all 3 nodes", k, owners)
 		}
@@ -94,13 +95,34 @@ func TestOwnersDistinctAndBounded(t *testing.T) {
 
 func TestEmptyRing(t *testing.T) {
 	r := New(0, nil, 8)
-	if !r.Empty() {
+	if len(r.Nodes()) != 0 {
 		t.Fatal("nil-ID ring not empty")
 	}
 	if _, ok := r.Owner("k"); ok {
 		t.Fatal("empty ring reported an owner")
 	}
-	if got := r.Owners("k", 2); got != nil {
-		t.Fatalf("empty ring Owners = %v, want nil", got)
+}
+
+// owners returns up to n distinct nodes for key in clockwise
+// preference order: the owner first, then the fallback nodes a
+// rebalance would promote, the oracle of the remapping property. It
+// returns fewer when the ring has fewer than n nodes.
+func owners(r *Ring, key string, n int) []string {
+	if len(r.points) == 0 || n <= 0 {
+		return nil
 	}
+	if n > len(r.ids) {
+		n = len(r.ids)
+	}
+	out := make([]string, 0, n)
+	seen := make([]bool, len(r.ids))
+	start := r.succ(hash64("key\x00" + key))
+	for i := 0; i < len(r.points) && len(out) < n; i++ {
+		p := r.points[(start+i)%len(r.points)]
+		if !seen[p.node] {
+			seen[p.node] = true
+			out = append(out, r.ids[p.node])
+		}
+	}
+	return out
 }

@@ -72,9 +72,6 @@ type Options struct {
 	// end stages; <= 0 selects GOMAXPROCS. Worker count changes
 	// wall-clock time only, never output (deterministic assembly).
 	Workers int
-	// Buffer is the queue depth between adjacent stages; <= 0 selects
-	// twice the worker count.
-	Buffer int
 	// StageSched runs stage scheduling (Eichenberger & Davidson) on
 	// every kernel before register allocation.
 	StageSched bool
@@ -82,11 +79,9 @@ type Options struct {
 	// steady-state kernel only.
 	Pipelined bool
 	// Validate cross-validates every emitted kernel with
-	// internal/sim's functional execution under the MVE allocation.
+	// internal/sim's functional execution under the MVE allocation,
+	// over sim's default iteration count (3*MVE factor + 4).
 	Validate bool
-	// SimIters is the iteration count for Validate; <= 0 selects sim's
-	// default (3*MVE factor + 4).
-	SimIters int
 	// Emit, when set, is called once per loop in input order as
 	// results retire from the pipeline, on the goroutine that called
 	// Run. It sees failed loops too (Err non-nil).
@@ -156,25 +151,18 @@ type Executor struct {
 	m        *machine.Config
 	opts     Options
 	workers  int
-	buffer   int
 	sessions chan *pipeline.Session
 }
 
 // NewExecutor builds an executor for machine m.
 func NewExecutor(m *machine.Config, opts Options) *Executor {
-	e := &Executor{m: m, opts: opts, workers: opts.Workers, buffer: opts.Buffer}
+	e := &Executor{m: m, opts: opts, workers: opts.Workers}
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
-	}
-	if e.buffer <= 0 {
-		e.buffer = 2 * e.workers
 	}
 	e.sessions = make(chan *pipeline.Session, e.workers)
 	return e
 }
-
-// Machine returns the executor's target machine.
-func (e *Executor) Machine() *machine.Config { return e.m }
 
 func (e *Executor) takeSession() *pipeline.Session {
 	select {
@@ -215,6 +203,8 @@ var buildLoop = (*frontend.Parsed).Build
 // is non-nil only when ctx ended the run early (every unfinished loop
 // is then marked canceled). Results, stage stats, and Emit callbacks
 // are identical for every worker count.
+//
+//schedvet:test-api the whole-unit reference the streaming Source path is tested against
 func (e *Executor) Run(ctx context.Context, loops []frontend.Loop) (*Result, error) {
 	r := e.newRun(ctx, len(loops), nil)
 	for i, l := range loops {
@@ -295,7 +285,8 @@ func (r *run) exec() (*Result, error) {
 	// frontend has built every loop.
 	retired := make([]bool, n)
 	next := 0
-	pool.RunStages(n, r.e.buffer, stages, func(i int) {
+	// Adjacent stages are joined by queues twice the worker count deep.
+	pool.RunStages(n, 2*r.e.workers, stages, func(i int) {
 		retired[i] = true
 		for r.built.Load() == int64(n) && next < n && retired[next] {
 			if r.e.opts.Emit != nil {
@@ -418,7 +409,7 @@ func (r *run) emit(j *job) {
 }
 
 func (r *run) validate(j *job) {
-	if err := sim.Run(j.in, j.sch, j.res.Alloc, r.e.opts.SimIters); err != nil {
+	if err := sim.Run(j.in, j.sch, j.res.Alloc, 0); err != nil {
 		j.res.Err = fmt.Errorf("compile: loop %q failed sim cross-validation: %w", j.res.Name, err)
 	}
 }

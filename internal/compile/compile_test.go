@@ -68,30 +68,27 @@ func render(res *Result) string {
 }
 
 // TestRunDeterministicAcrossWorkers is the tentpole's ordering
-// contract: worker count and buffer depth change wall-clock time
-// only. Emitted text, IIs, allocations, stats, and the Emit callback
+// contract: worker count changes wall-clock time only. Emitted text, IIs, allocations, stats, and the Emit callback
 // sequence must be byte-identical.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	loops := corpus(t)
 	m := machine.NewBusedGP(2, 2, 1)
 
-	type variant struct{ workers, buffer int }
 	var base *Result
 	var baseEmit []int
-	for _, v := range []variant{{1, 1}, {4, 2}, {4, 8}, {8, 3}} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		opts := testOptions()
-		opts.Workers = v.workers
-		opts.Buffer = v.buffer
+		opts.Workers = workers
 		opts.StageSched = true
 		var emitted []int
 		opts.Emit = func(l *LoopResult) { emitted = append(emitted, l.Index) }
 		res, err := NewExecutor(m, opts).Run(context.Background(), loops)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", v.workers, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i, idx := range emitted {
 			if idx != i {
-				t.Fatalf("workers=%d: emit order %v is not input order", v.workers, emitted)
+				t.Fatalf("workers=%d: emit order %v is not input order", workers, emitted)
 			}
 		}
 		if base == nil {
@@ -99,10 +96,10 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 			continue
 		}
 		if len(emitted) != len(baseEmit) {
-			t.Fatalf("workers=%d: %d emit callbacks, want %d", v.workers, len(emitted), len(baseEmit))
+			t.Fatalf("workers=%d: %d emit callbacks, want %d", workers, len(emitted), len(baseEmit))
 		}
 		if got, want := render(res), render(base); got != want {
-			t.Fatalf("workers=%d buffer=%d output differs from workers=1:\n%s", v.workers, v.buffer, firstDiff(got, want))
+			t.Fatalf("workers=%d output differs from workers=1:\n%s", workers, firstDiff(got, want))
 		}
 		// Wall-clock durations vary run to run; every search-effort
 		// counter must not.
@@ -110,7 +107,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		gs.MIITime, gs.AssignTime, gs.SchedTime = 0, 0, 0
 		bs.MIITime, bs.AssignTime, bs.SchedTime = 0, 0, 0
 		if gs != bs {
-			t.Fatalf("workers=%d: aggregated search stats differ from workers=1:\n got %+v\nwant %+v", v.workers, gs, bs)
+			t.Fatalf("workers=%d: aggregated search stats differ from workers=1:\n got %+v\nwant %+v", workers, gs, bs)
 		}
 	}
 	if base.Failed != 0 {
@@ -294,7 +291,7 @@ func TestSourceCompilesUnit(t *testing.T) {
 func schedInput(e *Executor, r *LoopResult) (sched.Input, *sched.Schedule) {
 	return sched.Input{
 		Graph:       r.Outcome.Assignment.Graph,
-		Machine:     e.Machine(),
+		Machine:     e.m,
 		ClusterOf:   r.Outcome.Assignment.ClusterOf,
 		CopyTargets: r.Outcome.Assignment.CopyTargets,
 		II:          r.Outcome.II,

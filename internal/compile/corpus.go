@@ -125,12 +125,16 @@ loop gen023 {
 
 // GeneratedSource returns the generated (non-Livermore) slice of the
 // corpus as loop-language source.
+//
+//schedvet:test-api the corpus source text the frontend's tests parse
 func GeneratedSource() string { return corpusSource }
 
 // Corpus returns the full compile regression corpus: the fourteen
 // Livermore kernels followed by the fuzz-mined generated programs.
 // Every loop in it schedules on the reference machines and passes sim
 // cross-validation (enforced by TestCorpusSchedulesAndSimValidates).
+//
+//schedvet:test-api the regression corpus bench's input tests and the identity digest schedule
 func Corpus() ([]frontend.Loop, error) {
 	kernels, err := livermore.Kernels()
 	if err != nil {

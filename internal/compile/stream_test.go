@@ -225,7 +225,7 @@ func dump(res *Result) string {
 
 // TestSourceStress holds Source to frontend.Compile + Run on one worker
 // over Livermore and a 96-program unit, on four machines, at every
-// combination of worker count, buffer depth, stage scheduling and
+// combination of worker count, stage scheduling and
 // validation. The race pass runs it too.
 func TestSourceStress(t *testing.T) {
 	src := livermore.Source() + loopgen.SourceCorpus(CorpusSeed, 96)
@@ -240,30 +240,28 @@ func TestSourceStress(t *testing.T) {
 			for _, validate := range []bool{false, true} {
 				opts := testOptions()
 				opts.StageSched, opts.Validate = stages, validate
-				opts.Workers, opts.Buffer = 1, 1
+				opts.Workers = 1
 				ref, err := NewExecutor(m, opts).Run(context.Background(), loops)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := dump(ref)
 				for _, w := range []int{1, 2, 4} {
-					for _, buf := range []int{1, 0} {
-						opts.Workers, opts.Buffer = w, buf
-						next := 0
-						opts.Emit = func(l *LoopResult) {
-							if l.Index != next {
-								t.Errorf("%s workers=%d buffer=%d: emitted loop %d, want %d", m.Name, w, buf, l.Index, next)
-							}
-							next++
+					opts.Workers = w
+					next := 0
+					opts.Emit = func(l *LoopResult) {
+						if l.Index != next {
+							t.Errorf("%s workers=%d: emitted loop %d, want %d", m.Name, w, l.Index, next)
 						}
-						got, err := Source(context.Background(), src, m, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if g := dump(got); g != want || next != len(loops) {
-							t.Fatalf("%s stagesched=%v validate=%v workers=%d buffer=%d: %d emitted of %d; %s",
-								m.Name, stages, validate, w, buf, next, len(loops), firstDiff(g, want))
-						}
+						next++
+					}
+					got, err := Source(context.Background(), src, m, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if g := dump(got); g != want || next != len(loops) {
+						t.Fatalf("%s stagesched=%v validate=%v workers=%d: %d emitted of %d; %s",
+							m.Name, stages, validate, w, next, len(loops), firstDiff(g, want))
 					}
 				}
 			}

@@ -46,21 +46,14 @@ func growInt32s(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
-// EarliestStart computes, for a candidate initiation interval II, the
-// earliest modulo-schedule slot of every node: the longest-path distance
-// from any source using edge weight latency(from) - II*distance, clamped
-// at zero. The result is the ASAP time used by the swing ordering and by
-// schedulers as a lower bound.
-//
-// The relaxation converges only when the graph has no positive cycle at
-// this II (i.e. II >= RecMII); ok reports whether it converged.
-func (g *Graph) EarliestStart(lat LatencyFunc, ii int) (estart []int, ok bool) {
-	var sc StartScratch
-	return g.EarliestStartInto(&sc, lat, ii, nil)
-}
-
-// EarliestStartInto is EarliestStart into sc's reusable buffers. The
-// returned vector aliases sc and is overwritten by the next call.
+// EarliestStartInto computes, for a candidate initiation interval II,
+// the earliest modulo-schedule slot of every node: the longest-path
+// distance from any source using edge weight latency(from) - II*distance,
+// clamped at zero. The result is the ASAP time used by the swing
+// ordering and by schedulers as a lower bound. The relaxation converges
+// only when the graph has no positive cycle at this II (II >= RecMII);
+// ok reports whether it converged. The returned vector aliases sc's
+// reusable buffers and is overwritten by the next call.
 //
 // Each round relaxes the nodes in a topological order of the
 // distance-0 subgraph, the first round while sorting them, so round r
@@ -192,17 +185,12 @@ func (sc *StartScratch) relaxEarliest(ii int, tr *obs.Trace) bool {
 	return false
 }
 
-// LatestStart computes the latest start times against the schedule-length
-// horizon implied by the earliest starts: LStart(v) = horizon - longest
-// path from v to any sink, mirrored from EarliestStart. ok is false when
-// the relaxation fails to converge (positive cycle at this II).
-func (g *Graph) LatestStart(lat LatencyFunc, ii int) (lstart []int, ok bool) {
-	var sc StartScratch
-	return g.LatestStartInto(&sc, lat, ii, nil)
-}
-
-// LatestStartInto is LatestStart into sc's reusable buffers: the
-// forward pass of EarliestStartInto, then LatestStartFrom. It also
+// LatestStartInto computes the latest start times against the
+// schedule-length horizon implied by the earliest starts: LStart(v) =
+// horizon - longest path from v to any sink, mirrored from
+// EarliestStartInto; ok is false when the relaxation fails to converge
+// (positive cycle at this II). It runs the forward pass of
+// EarliestStartInto, then LatestStartFrom, so it also
 // overwrites sc's earliest-start vector; the returned vector aliases
 // sc and is overwritten by the next call.
 func (g *Graph) LatestStartInto(sc *StartScratch, lat LatencyFunc, ii int, tr *obs.Trace) (lstart []int, ok bool) {
@@ -274,36 +262,4 @@ func (sc *StartScratch) relaxLatest(ii int, tr *obs.Trace) bool {
 		}
 	}
 	return false
-}
-
-// Height returns, per node, the longest-latency path from the node to
-// any sink of the graph ignoring loop-carried edges (distance >= 1).
-// This is the classic list-scheduling priority used by the iterative
-// modulo scheduler. Nodes on or behind a distance-0 cycle, which
-// Validate rejects, get height 0.
-func (g *Graph) Height(lat LatencyFunc) []int {
-	n := len(g.Nodes)
-	height := make([]int, n)
-	var sc StartScratch
-	sc.sortRelax(g, lat, 0, height)
-	for i := range height {
-		height[i] = 0
-	}
-	for k := sc.sorted - 1; k >= 0; k-- {
-		v := int(sc.topo[k])
-		h := 0
-		for _, e := range sc.adj.out(v) {
-			if e.Distance != 0 {
-				continue
-			}
-			if t := height[e.To] + sc.lat[v]; t > h {
-				h = t
-			}
-		}
-		if h == 0 {
-			h = sc.lat[v]
-		}
-		height[v] = h
-	}
-	return height
 }

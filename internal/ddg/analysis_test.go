@@ -20,7 +20,7 @@ func TestEarliestStartChain(t *testing.T) {
 	g.AddEdge(a, b, 0)
 	g.AddEdge(b, c, 0)
 
-	estart, ok := g.EarliestStart(unitLat, 1)
+	estart, ok := g.EarliestStartInto(new(StartScratch), unitLat, 1, nil)
 	if !ok {
 		t.Fatal("EarliestStart did not converge on an acyclic graph")
 	}
@@ -40,10 +40,10 @@ func TestEarliestStartLoopCarried(t *testing.T) {
 	g.AddEdge(a, b, 0)
 	g.AddEdge(b, a, 1)
 
-	if _, ok := g.EarliestStart(unitLat, 1); ok {
+	if _, ok := g.EarliestStartInto(new(StartScratch), unitLat, 1, nil); ok {
 		t.Error("II=1 should not converge (RecMII is 2)")
 	}
-	estart, ok := g.EarliestStart(unitLat, 2)
+	estart, ok := g.EarliestStartInto(new(StartScratch), unitLat, 2, nil)
 	if !ok {
 		t.Fatal("II=2 should converge")
 	}
@@ -63,11 +63,11 @@ func TestLatestStartChain(t *testing.T) {
 	// gives a no slack either way.
 	g.AddEdge(a, c, 0)
 
-	lstart, ok := g.LatestStart(unitLat, 1)
+	lstart, ok := g.LatestStartInto(new(StartScratch), unitLat, 1, nil)
 	if !ok {
 		t.Fatal("LatestStart did not converge")
 	}
-	estart, _ := g.EarliestStart(unitLat, 1)
+	estart, _ := g.EarliestStartInto(new(StartScratch), unitLat, 1, nil)
 	for i := range lstart {
 		if lstart[i] < estart[i] {
 			t.Errorf("node %d: lstart %d < estart %d", i, lstart[i], estart[i])
@@ -87,38 +87,14 @@ func TestLatestStartDivergesBelowRecMII(t *testing.T) {
 	b := g.AddNode(OpALU, "")
 	g.AddEdge(a, b, 0)
 	g.AddEdge(b, a, 1)
-	if _, ok := g.LatestStart(unitLat, 1); ok {
+	if _, ok := g.LatestStartInto(new(StartScratch), unitLat, 1, nil); ok {
 		t.Error("LatestStart converged below RecMII")
-	}
-}
-
-func TestHeightIgnoresLoopCarriedEdges(t *testing.T) {
-	g := NewGraph(3, 3)
-	a := g.AddNode(OpALU, "")
-	b := g.AddNode(OpALU, "")
-	c := g.AddNode(OpALU, "")
-	g.AddEdge(a, b, 0)
-	g.AddEdge(b, c, 0)
-	g.AddEdge(c, a, 1) // back edge must not contribute to height
-
-	h := g.Height(unitLat)
-	if h[a] != 3 || h[b] != 2 || h[c] != 1 {
-		t.Errorf("Height = %v, want [3 2 1]", h)
-	}
-}
-
-func TestHeightOfSink(t *testing.T) {
-	g := NewGraph(1, 0)
-	g.AddNode(OpLoad, "")
-	h := g.Height(unitLat)
-	if h[0] != 2 {
-		t.Errorf("Height of lone load = %d, want its latency 2", h[0])
 	}
 }
 
 func TestEarliestStartEmptyGraph(t *testing.T) {
 	g := NewGraph(0, 0)
-	estart, ok := g.EarliestStart(unitLat, 1)
+	estart, ok := g.EarliestStartInto(new(StartScratch), unitLat, 1, nil)
 	if !ok || len(estart) != 0 {
 		t.Errorf("empty graph: estart=%v ok=%v", estart, ok)
 	}

@@ -99,22 +99,15 @@ type Graph struct {
 	// work.
 	adj atomic.Pointer[adjacency]
 
-	// scc caches the Tarjan decomposition under the same contract as
+	// scc caches the non-trivial SCCs under the same contract as
 	// adj: lazy, invalidated by mutation, safe to rebuild racily.
-	scc atomic.Pointer[sccCache]
+	scc atomic.Pointer[[]*SCC]
 
 	// nodeArena chunk-allocates the Node values Nodes points into, so
 	// building a graph does not pay one allocation per operation. A
 	// chunk is abandoned (not copied) when full, which keeps previously
 	// returned *Node pointers valid.
 	nodeArena []Node
-}
-
-// sccCache holds the component decomposition shared by every caller of
-// StronglyConnectedComponents/NonTrivialSCCs.
-type sccCache struct {
-	all        []*SCC
-	nonTrivial []*SCC
 }
 
 // adjacency is the CSR form of the edge list: every per-node list the
@@ -316,19 +309,6 @@ func (g *Graph) Successors(id int) []int {
 // The returned slice is owned by the graph; callers must not modify it.
 func (g *Graph) Predecessors(id int) []int {
 	return g.adjacencyCache().preds(id)
-}
-
-// Clone returns a deep copy of the graph. Annotated passes (cluster
-// assignment) clone the input so callers keep an unmodified original.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(len(g.Nodes), len(g.Edges))
-	for _, n := range g.Nodes {
-		c.AddNode(n.Kind, n.Name)
-	}
-	for _, e := range g.Edges {
-		c.AddEdge(e.From, e.To, e.Distance)
-	}
-	return c
 }
 
 // Structural diagnostic codes reported by Lint. Package lint layers

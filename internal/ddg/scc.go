@@ -16,28 +16,25 @@ type SCC struct {
 // NonTrivial reports whether the component forms a recurrence cycle.
 func (s *SCC) NonTrivial() bool { return len(s.Nodes) > 1 || s.Self }
 
-// StronglyConnectedComponents returns all SCCs, computed with Tarjan's
-// algorithm (iterative, so deep graphs cannot overflow the goroutine
-// stack). Components are returned in reverse topological order of the
-// condensation, which callers typically re-rank by criticality anyway.
-// The decomposition is cached on the graph until the next mutation; the
-// returned components are shared and must not be modified.
-func (g *Graph) StronglyConnectedComponents() []*SCC {
-	return g.sccs().all
-}
-
-func (g *Graph) sccs() *sccCache {
+// NonTrivialSCCs returns the recurrences of the graph, the components
+// that cluster assignment cares about, found with Tarjan's algorithm
+// (iterative, so deep graphs cannot overflow the goroutine stack). They
+// come in reverse topological order of the condensation, which callers
+// typically re-rank by criticality anyway. The decomposition is cached
+// on the graph until the next mutation; the returned components are
+// shared and must not be modified.
+func (g *Graph) NonTrivialSCCs() []*SCC {
 	if c := g.scc.Load(); c != nil {
-		return c
+		return *c
 	}
-	c := &sccCache{all: g.computeSCCs()}
-	for _, s := range c.all {
+	var nt []*SCC
+	for _, s := range g.computeSCCs() {
 		if s.NonTrivial() {
-			c.nonTrivial = append(c.nonTrivial, s)
+			nt = append(nt, s)
 		}
 	}
-	g.scc.Store(c)
-	return c
+	g.scc.Store(&nt)
+	return nt
 }
 
 // computeSCCs runs Tarjan's algorithm over one scratch slab (the DFS
@@ -127,26 +124,4 @@ func (g *Graph) computeSCCs() []*SCC {
 		out[i] = &comps[i]
 	}
 	return out
-}
-
-// NonTrivialSCCs filters StronglyConnectedComponents down to the
-// recurrences, which is what cluster assignment cares about. Like
-// StronglyConnectedComponents, the result is cached and shared.
-func (g *Graph) NonTrivialSCCs() []*SCC {
-	return g.sccs().nonTrivial
-}
-
-// SCCIndex returns, for every node, the position of its component in
-// the comps slice, or -1 when the node belongs to none of them.
-func SCCIndex(numNodes int, comps []*SCC) []int {
-	idx := make([]int, numNodes)
-	for i := range idx {
-		idx[i] = -1
-	}
-	for ci, c := range comps {
-		for _, n := range c.Nodes {
-			idx[n] = ci
-		}
-	}
-	return idx
 }

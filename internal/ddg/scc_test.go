@@ -21,15 +21,6 @@ func chain(n int) *Graph {
 
 func TestSCCChainHasOnlyTrivialComponents(t *testing.T) {
 	g := chain(5)
-	comps := g.StronglyConnectedComponents()
-	if len(comps) != 5 {
-		t.Fatalf("got %d components, want 5", len(comps))
-	}
-	for _, c := range comps {
-		if c.NonTrivial() {
-			t.Errorf("component %v should be trivial", c.Nodes)
-		}
-	}
 	if nt := g.NonTrivialSCCs(); len(nt) != 0 {
 		t.Errorf("NonTrivialSCCs = %v, want none", nt)
 	}
@@ -80,19 +71,6 @@ func TestSCCTwoSeparateCycles(t *testing.T) {
 	}
 }
 
-func TestSCCIndex(t *testing.T) {
-	g := chain(4)
-	g.AddEdge(3, 2, 1)
-	comps := g.NonTrivialSCCs()
-	idx := SCCIndex(g.NumNodes(), comps)
-	if idx[0] != -1 || idx[1] != -1 {
-		t.Errorf("nodes 0,1 should be outside SCCs: %v", idx)
-	}
-	if idx[2] != 0 || idx[3] != 0 {
-		t.Errorf("nodes 2,3 should be in SCC 0: %v", idx)
-	}
-}
-
 // reachable computes the transitive closure by DFS, the brute-force
 // oracle for the SCC property test.
 func reachable(g *Graph, from int) map[int]bool {
@@ -112,8 +90,8 @@ func reachable(g *Graph, from int) map[int]bool {
 }
 
 // TestSCCMatchesBruteForce is a property test: for random graphs,
-// Tarjan's components must equal the equivalence classes of mutual
-// reachability.
+// Tarjan's non-trivial components must be exactly the equivalence
+// classes of mutual reachability among the nodes that lie on a cycle.
 func TestSCCMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -126,30 +104,42 @@ func TestSCCMatchesBruteForce(t *testing.T) {
 			g.AddEdge(rng.Intn(n), rng.Intn(n), rng.Intn(2))
 		}
 
-		comps := g.StronglyConnectedComponents()
-		// Every node appears exactly once.
-		seen := make([]int, n)
-		for _, c := range comps {
+		// Every node appears at most once.
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = -1
+		}
+		for ci, c := range g.NonTrivialSCCs() {
 			for _, v := range c.Nodes {
-				seen[v]++
+				if idx[v] != -1 {
+					t.Logf("node %d appears twice", v)
+					return false
+				}
+				idx[v] = ci
 			}
 		}
-		for v, cnt := range seen {
-			if cnt != 1 {
-				t.Logf("node %d appears %d times", v, cnt)
-				return false
-			}
-		}
-		// Same component iff mutually reachable.
-		idx := SCCIndex(n, comps)
 		reach := make([]map[int]bool, n)
 		for v := 0; v < n; v++ {
 			reach[v] = reachable(g, v)
 		}
+		// A node is in a component iff it lies on a cycle, and two
+		// nodes share one iff they are mutually reachable.
+		onCycle := func(v int) bool {
+			for _, s := range g.Successors(v) {
+				if reach[s][v] {
+					return true
+				}
+			}
+			return false
+		}
 		for a := 0; a < n; a++ {
+			if onCycle(a) != (idx[a] != -1) {
+				t.Logf("node %d: on a cycle=%v, in a component=%v", a, onCycle(a), idx[a] != -1)
+				return false
+			}
 			for b := 0; b < n; b++ {
-				mutual := reach[a][b] && reach[b][a]
-				same := idx[a] == idx[b]
+				mutual := a == b || reach[a][b] && reach[b][a]
+				same := idx[a] == idx[b] && (a == b || idx[a] != -1)
 				if mutual != same {
 					t.Logf("nodes %d,%d: mutual=%v same=%v", a, b, mutual, same)
 					return false

@@ -104,9 +104,9 @@ func checkStartOracles(g *Graph, sc *StartScratch) error {
 			if glok != wlok || !sameInts(gl, wl) {
 				return fmt.Errorf("II %d: LatestStartInto = %v, %v; oracle %v, %v", ii, gl, glok, wl, wlok)
 			}
-			fl, flok := g.LatestStart(lat, ii)
+			fl, flok := g.LatestStartInto(new(StartScratch), lat, ii, nil)
 			if flok != wlok || !sameInts(fl, wl) {
-				return fmt.Errorf("II %d: LatestStart = %v, %v; oracle %v, %v", ii, fl, flok, wl, wlok)
+				return fmt.Errorf("II %d: LatestStartInto on a fresh scratch = %v, %v; oracle %v, %v", ii, fl, flok, wl, wlok)
 			}
 		}
 	}
@@ -165,7 +165,7 @@ func TestStartTimesMatchOracle(t *testing.T) {
 		if err := checkStartOracles(g, &sc); err != nil {
 			t.Fatalf("graph %d: %v\n%s", i, err, g)
 		}
-		if _, ok := g.EarliestStart(unitLat, 2); ok {
+		if _, ok := g.EarliestStartInto(new(StartScratch), unitLat, 2, nil); ok {
 			converged++
 		} else {
 			diverged++
@@ -195,7 +195,7 @@ func TestStartTimesMatchOracle(t *testing.T) {
 func TestStartTimesStopWhenCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tr := obs.New(ctx, nil, false)
+	tr := new(obs.Trace).Renew(ctx, nil, false)
 	g := chain(50)
 	var sc StartScratch
 	if _, ok := g.EarliestStartInto(&sc, unitLat, 1, tr); ok {

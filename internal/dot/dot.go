@@ -12,18 +12,6 @@ import (
 	"clustersched/internal/sched"
 )
 
-// Graph renders a bare dependence graph.
-func Graph(g *ddg.Graph) string {
-	var b strings.Builder
-	b.WriteString("digraph ddg {\n  rankdir=TB;\n  node [shape=box, fontname=monospace];\n")
-	for _, n := range g.Nodes {
-		fmt.Fprintf(&b, "  n%d [label=%q];\n", n.ID, nodeLabel(g, n.ID, -1))
-	}
-	writeEdges(&b, g)
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // Render renders an assigned (and possibly scheduled) loop: one DOT
 // subgraph cluster per machine cluster, copy nodes as ellipses, and
 // scheduled cycles in the labels. The schedule may be nil.

@@ -21,11 +21,14 @@ func sample() *ddg.Graph {
 	return g
 }
 
+// TestGraphRendersAllNodesAndEdges renders a bare graph, with no
+// assignment or schedule: every node lands in cluster 0 and every edge
+// is drawn.
 func TestGraphRendersAllNodesAndEdges(t *testing.T) {
-	out := Graph(sample())
-	for _, want := range []string{"digraph ddg", "n0", "n1", "n2", "load x", "n0 -> n1", "style=dashed"} {
+	out := Render(sched.Input{Graph: sample()}, nil)
+	for _, want := range []string{"digraph schedule", "cluster_0", "n0", "n1", "n2", "load x", "n0 -> n1", "style=dashed"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("Graph() missing %q:\n%s", want, out)
+			t.Errorf("Render() missing %q:\n%s", want, out)
 		}
 	}
 	if strings.Count(out, "->") != 3 {

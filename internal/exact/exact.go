@@ -25,6 +25,8 @@ const MaxNodes = 12
 // from 1 to maxII. It returns maxII+1 when no II in range works.
 // Copies are inserted by assign.Materialize, the model the pipeline
 // itself schedules.
+//
+//schedvet:test-api the exhaustive optimum the heuristic's tests measure against
 func Optimal(g *ddg.Graph, m *machine.Config, maxII int) (int, error) {
 	if g.NumNodes() > MaxNodes {
 		return 0, fmt.Errorf("exact: %d nodes exceed the %d-node search bound", g.NumNodes(), MaxNodes)

@@ -300,6 +300,8 @@ func (r RegisterReport) Report() string {
 // Capitanio et al. (the related-work approach the paper argues cannot
 // respect recurrences). Both rows report match-vs-unified histograms
 // on the same machine.
+//
+//schedvet:test-api the post-partitioning comparison the root benchmark tests run
 func BaselineComparison(loops []*ddg.Graph, opts Options) Result {
 	res, _ := BaselineComparisonContext(context.Background(), loops, opts)
 	return res
@@ -330,7 +332,7 @@ func BaselineComparisonContext(ctx context.Context, loops []*ddg.Graph, opts Opt
 			Assign:    assign.Options{Variant: assign.HeuristicIterative},
 			Scheduler: opts.Scheduler,
 		})
-		post, serr := postpart.Run(g, m, postpart.Options{})
+		post, serr := postpart.Run(g, m)
 		if uerr != nil || perr != nil || serr != nil {
 			outcomes[i] = outcome{failed: true}
 			return
@@ -449,15 +451,9 @@ func LivermoreMachines() []*machine.Config {
 	}
 }
 
-// LivermoreStudy schedules the real Livermore kernels on the paper's
-// machines and tabulates per-kernel initiation intervals against the
-// 8-wide unified baseline.
-func LivermoreStudy(loops []frontend.Loop, opts Options) (LivermoreReport, error) {
-	return LivermoreStudyContext(context.Background(), loops, opts)
-}
-
-// LivermoreStudyContext is LivermoreStudy with cancellation. The study
-// is sequential (a handful of kernels); cancellation takes effect
+// LivermoreStudyContext schedules the real Livermore kernels on the
+// paper's machines and tabulates per-kernel initiation intervals
+// against the 8-wide unified baseline. The study is sequential (a handful of kernels); cancellation takes effect
 // between pipeline runs and mid-search inside each run.
 func LivermoreStudyContext(ctx context.Context, loops []frontend.Loop, opts Options) (LivermoreReport, error) {
 	rep := LivermoreReport{Machines: LivermoreMachines()}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -134,7 +135,7 @@ func TestLivermoreStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := LivermoreStudy(kernels, Options{})
+	rep, err := LivermoreStudyContext(context.Background(), kernels, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

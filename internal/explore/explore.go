@@ -64,6 +64,8 @@ func filePorts(m *machine.Config, c int) (total, reads int) {
 
 // Evaluate measures one machine over the loops; it is EvaluateContext
 // under context.Background().
+//
+//schedvet:test-api the context-free one-machine form explore's own tests measure with
 func Evaluate(m *machine.Config, loops []*ddg.Graph, workers int) Point {
 	p, _ := EvaluateContext(context.Background(), m, loops, workers)
 	return p
@@ -158,6 +160,8 @@ func EvaluateContext(ctx context.Context, m *machine.Config, loops []*ddg.Graph,
 
 // Sweep evaluates several machines; it is SweepContext under
 // context.Background().
+//
+//schedvet:test-api the design-space sweep the root benchmark tests run
 func Sweep(machines []*machine.Config, loops []*ddg.Graph, workers int) []Point {
 	out, _ := SweepContext(context.Background(), machines, loops, workers)
 	return out

@@ -11,18 +11,3 @@
 // legal-but-suspect inputs (dead values, isolated nodes, unused
 // fabric) that usually indicate a mistake.
 package lint
-
-import (
-	"clustersched/internal/ddg"
-	"clustersched/internal/diag"
-	"clustersched/internal/machine"
-)
-
-// Input runs the graph and machine passes a pipeline run depends on
-// and returns their combined findings. The pipeline rejects the run
-// when any finding is Error severity, before assignment starts.
-func Input(g *ddg.Graph, m *machine.Config) []diag.Diagnostic {
-	diags := Graph(g)
-	diags = append(diags, Machine(m)...)
-	return diags
-}

@@ -15,7 +15,6 @@ package livermore
 import (
 	"fmt"
 
-	"clustersched/internal/ddg"
 	"clustersched/internal/frontend"
 )
 
@@ -110,6 +109,8 @@ loop lfk24_argmin {
 `
 
 // Source returns the kernel collection as loop-language source.
+//
+//schedvet:test-api the kernel source text the frontend and compile stream tests parse
 func Source() string { return source }
 
 // Kernels compiles the collection. The result is deterministic; the
@@ -121,18 +122,4 @@ func Kernels() ([]frontend.Loop, error) {
 		return nil, fmt.Errorf("livermore: embedded kernels failed to compile: %w", err)
 	}
 	return loops, nil
-}
-
-// Graphs returns just the dependence graphs, for harnesses that take
-// plain loop slices.
-func Graphs() ([]*ddg.Graph, error) {
-	loops, err := Kernels()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*ddg.Graph, len(loops))
-	for i, l := range loops {
-		out[i] = l.Graph
-	}
-	return out, nil
 }

@@ -127,14 +127,15 @@ func TestKernelsScheduleOnEveryMachine(t *testing.T) {
 // real kernels: nearly all should match the unified machine's II on
 // the 2-cluster machine.
 func TestKernelsMatchUnified(t *testing.T) {
-	loops, err := Graphs()
+	loops, err := Kernels()
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := machine.NewBusedGP(2, 2, 1)
 	u := m.Unified()
 	match := 0
-	for i, g := range loops {
+	for i, l := range loops {
+		g := l.Graph
 		uo, err1 := pipeline.Run(g, u, pipeline.Options{})
 		co, err2 := pipeline.Run(g, m, pipeline.Options{
 			Assign: assign.Options{Variant: assign.HeuristicIterative},

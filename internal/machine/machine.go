@@ -377,6 +377,8 @@ func (m *Config) Lint() []diag.Diagnostic {
 // Validate checks the configuration for internal consistency. It
 // returns nil for a consistent machine, or a *diag.List carrying every
 // violation, whose Error string leads with the first one.
+//
+//schedvet:test-api the consistency check the machine tests hold every builtin to
 func (m *Config) Validate() error {
 	if err := diag.AsError(m.Lint()); err != nil {
 		return err

@@ -3,8 +3,7 @@ package machine
 import "sync"
 
 // Topology is the precomputed link fabric of one configuration: the
-// link index and shortest cluster path for every cluster pair, plus the
-// links incident to each cluster. Consumers that previously re-ran the
+// link index and shortest cluster path for every cluster pair. Consumers that previously re-ran the
 // BFS of Config.Path per construction (one cluster-assignment run
 // builds a full pair table) share one Topology per Config instead.
 //
@@ -14,7 +13,6 @@ type Topology struct {
 	nc      int
 	pathTab [][]int // [a*nc+b] -> Config.Path(a, b)
 	linkTab []int   // [a*nc+b] -> link index, or -1
-	linksAt [][]int // [cluster] -> incident link indices
 }
 
 // Path returns the precomputed Config.Path(a, b) result.
@@ -22,9 +20,6 @@ func (t *Topology) Path(a, b int) []int { return t.pathTab[a*t.nc+b] }
 
 // LinkBetween returns the precomputed Config.LinkBetween(a, b) result.
 func (t *Topology) LinkBetween(a, b int) int { return t.linkTab[a*t.nc+b] }
-
-// LinksAt returns the precomputed Config.LinksAt(c) result.
-func (t *Topology) LinksAt(c int) []int { return t.linksAt[c] }
 
 // topoCache memoizes TopologyOf per Config. The cache is bounded: paths
 // that mint throwaway configurations (Unified() per run, machine
@@ -54,10 +49,8 @@ func TopologyOf(m *Config) *Topology {
 		nc:      nc,
 		pathTab: make([][]int, nc*nc),
 		linkTab: make([]int, nc*nc),
-		linksAt: make([][]int, nc),
 	}
 	for i := 0; i < nc; i++ {
-		t.linksAt[i] = m.LinksAt(i)
 		for j := 0; j < nc; j++ {
 			t.pathTab[i*nc+j] = m.Path(i, j)
 			t.linkTab[i*nc+j] = m.LinkBetween(i, j)

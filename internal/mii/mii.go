@@ -17,6 +17,8 @@ import (
 // occupancy). Operations are charged to their specialized class when
 // the machine has such units, otherwise to the general-purpose pool;
 // copies use no function unit and are excluded.
+//
+//schedvet:test-api the package-level bound the frontend and paper-example tests check
 func ResMII(g *ddg.Graph, m *machine.Config) int {
 	return resMII(g, m, unitTotalsOf(m))
 }
@@ -85,6 +87,8 @@ func resMIIWith(g *ddg.Graph, m *machine.Config, unitTotals, charged []int) int 
 // 1 for a graph without recurrences. Every dependence cycle lies
 // wholly inside one strongly connected component, so the bound is the
 // maximum of the per-component vector RecScratch.SCCRecMIIs computes.
+//
+//schedvet:test-api the package-level bound the frontend, livermore and paper-example tests check
 func RecMII(g *ddg.Graph, lat ddg.LatencyFunc) int {
 	var rs RecScratch
 	recs, _ := rs.SCCRecMIIs(g, lat, nil)
@@ -463,12 +467,6 @@ type Machine struct {
 func NewMachine(m *machine.Config) *Machine {
 	return &Machine{m: m, unitTotals: unitTotalsOf(m)}
 }
-
-// Config returns the machine configuration the cache was built from.
-func (mc *Machine) Config() *machine.Config { return mc.m }
-
-// ResMII is the package-level ResMII against the cached unit totals.
-func (mc *Machine) ResMII(g *ddg.Graph) int { return resMII(g, mc.m, mc.unitTotals) }
 
 // MII returns max(ResMII, RecMII) for g on the cached machine.
 func (mc *Machine) MII(g *ddg.Graph) int {

@@ -161,10 +161,10 @@ func TestSCCRecMIIsStopsWhenCanceled(t *testing.T) {
 	g.AddEdge(0, 1, 0)
 	g.AddEdge(1, 0, 1)
 	var rs RecScratch
-	if _, ok := rs.SCCRecMIIs(g, lat, obs.New(ctx, nil, false)); ok {
+	if _, ok := rs.SCCRecMIIs(g, lat, new(obs.Trace).Renew(ctx, nil, false)); ok {
 		t.Error("SCCRecMIIs completed under a canceled trace")
 	}
-	if _, _, ok := NewMachine(machine.NewBusedGP(2, 2, 1)).MIIWith(g, &rs, obs.New(ctx, nil, false)); ok {
+	if _, _, ok := NewMachine(machine.NewBusedGP(2, 2, 1)).MIIWith(g, &rs, new(obs.Trace).Renew(ctx, nil, false)); ok {
 		t.Error("MIIWith completed under a canceled trace")
 	}
 	if recs, ok := rs.SCCRecMIIs(g, lat, nil); !ok || recs[0] != 18 {

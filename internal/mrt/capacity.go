@@ -103,16 +103,6 @@ func NewCapacity(m *machine.Config, ii int) *Capacity {
 	return c
 }
 
-// II returns the initiation interval the table was sized for.
-//
-//schedvet:alloc-free
-func (c *Capacity) II() int { return c.ii }
-
-// Machine returns the machine description backing the table.
-//
-//schedvet:alloc-free
-func (c *Capacity) Machine() *machine.Config { return c.m }
-
 // ChargeClass returns the FU class an operation of kind k is counted
 // against on cluster cl: the specialized class when the cluster has
 // such units, otherwise the general-purpose pool; -1 when the cluster
@@ -302,19 +292,6 @@ func (c *Capacity) applyCharges(op Op, dir int) {
 
 // Queries -------------------------------------------------------------------
 
-// FreeOpSlots returns the remaining FU slot-cycles usable by kind k on
-// cluster cl.
-//
-//schedvet:alloc-free
-func (c *Capacity) FreeOpSlots(cl int, k ddg.OpKind) int {
-	cls := c.classOf[cl*ddg.NumOpKinds+int(k)]
-	if cls < 0 {
-		return 0
-	}
-	idx := cl*numFU + int(cls)
-	return c.fuCap[idx] - c.fuUsed[idx]
-}
-
 // FreeSlots returns the total free FU slot-cycles on cluster cl across
 // all classes, the tie-breaker of selection line 8 ("maximize free
 // resources on the cluster"). O(1): the aggregate is maintained on
@@ -390,6 +367,7 @@ func (c *Capacity) FreeBusSlots() int { return c.busCap - c.busUsed }
 
 // FreeLinkSlots returns the remaining slot-cycles of link li.
 //
+//schedvet:test-api assign's engine invariant test compares link usage through it
 //schedvet:alloc-free
 func (c *Capacity) FreeLinkSlots(li int) int { return c.ii - c.linkUsed[li] }
 
@@ -397,8 +375,7 @@ func (c *Capacity) FreeLinkSlots(li int) int { return c.ii - c.linkUsed[li] }
 
 // CopyFrom overwrites the receiver's counters with src's, a
 // slab-reusing restore for tables of the same machine (it panics
-// otherwise). Use it where Clone would allocate per restore; keep
-// Clone for cold paths.
+// otherwise).
 //
 //schedvet:alloc-free
 func (c *Capacity) CopyFrom(src *Capacity) {
@@ -409,12 +386,4 @@ func (c *Capacity) CopyFrom(src *Capacity) {
 	copy(c.counters, src.counters)
 	c.busUsed = src.busUsed
 	c.busCap = src.busCap
-}
-
-// Clone returns an independent deep copy, used for tentative
-// assignments that may be discarded.
-func (c *Capacity) Clone() *Capacity {
-	n := NewCapacity(c.m, c.ii)
-	n.CopyFrom(c)
-	return n
 }

@@ -178,21 +178,23 @@ func TestMaxReservableCopiesGrid(t *testing.T) {
 	}
 }
 
+// TestCapacityCloneIsIndependent: a table cloned with CopyFrom, as the
+// assignment engine snapshots its capacity, shares no counter with its
+// source.
 func TestCapacityCloneIsIndependent(t *testing.T) {
 	m := machine.NewBusedGP(2, 2, 1)
 	c := NewCapacity(m, 2)
 	c.CommitOp(OpAt(0, 0, ddg.OpALU), 0)
 	c.CommitOp(CopyAt(0, 0, []int{1}), 0)
+	want := snapshot(c, m)
 
-	d := c.Clone()
+	d := NewCapacity(m, 2)
+	d.CopyFrom(c)
 	d.CommitOp(OpAt(1, 0, ddg.OpALU), 0)
 	d.CommitOp(CopyAt(1, 1, []int{0}), 0)
 
-	if c.FreeOpSlots(0, ddg.OpALU) != 7 {
-		t.Error("clone mutated original FU counters")
-	}
-	if c.FreeReadPortSlots(1) != 2 {
-		t.Error("clone mutated original port counters")
+	if got := snapshot(c, m); !equalInts(got, want) {
+		t.Errorf("clone mutated the original: %v, want %v", got, want)
 	}
 }
 
@@ -206,8 +208,8 @@ func TestCapacityCopyFromRestores(t *testing.T) {
 	c := NewCapacity(m, 5) // different II: CopyFrom re-sizes
 	c.CommitOp(OpAt(7, 3, ddg.OpFMul), 0)
 	c.CopyFrom(base)
-	if c.II() != 2 {
-		t.Errorf("II after CopyFrom = %d, want 2", c.II())
+	if c.ii != 2 {
+		t.Errorf("II after CopyFrom = %d, want 2", c.ii)
 	}
 	if got := snapshot(c, m); !equalInts(got, want) {
 		t.Errorf("CopyFrom state %v, want %v", got, want)

@@ -125,11 +125,6 @@ func allMask(n int) uint64 {
 	return 1<<uint(n) - 1
 }
 
-// II returns the initiation interval of the table.
-//
-//schedvet:alloc-free
-func (c *Cycle) II() int { return c.ii }
-
 // Machine returns the machine description backing the table.
 //
 //schedvet:alloc-free
@@ -435,17 +430,6 @@ func (c *Cycle) newPlacement() *Placement {
 
 // Queries -------------------------------------------------------------------
 
-// PlacementOf returns the recorded placement of node, or nil. The
-// pointer is valid while the node stays placed.
-//
-//schedvet:alloc-free
-func (c *Cycle) PlacementOf(node int) *Placement {
-	if node < 0 || node >= len(c.placed) {
-		return nil
-	}
-	return c.placed[node]
-}
-
 // ConflictsOf appends to buf[:0] the distinct nodes occupying resources
 // op would need at the given cycle, in resource order (units, then for
 // copies read ports, fabric, write ports per target), and returns the
@@ -522,47 +506,6 @@ func containsInt(xs []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// Copy / restore ------------------------------------------------------------
-
-// CopyFrom overwrites the receiver with src's occupancy and placements,
-// a slab-reusing restore for tables of the same machine (it panics
-// otherwise).
-func (c *Cycle) CopyFrom(src *Cycle) {
-	if c.m != src.m {
-		panic("mrt: Cycle.CopyFrom across machines")
-	}
-	c.ResetII(src.ii)
-	copy(c.fuBusy, src.fuBusy)
-	copy(c.readBusy, src.readBusy)
-	copy(c.writeBusy, src.writeBusy)
-	copy(c.busBusy, src.busBusy)
-	copy(c.linkBusy, src.linkBusy)
-	copy(c.owner, src.owner)
-	for len(c.placed) < len(src.placed) {
-		c.placed = append(c.placed, nil)
-	}
-	for node, sp := range src.placed {
-		if sp == nil {
-			continue
-		}
-		p := c.newPlacement()
-		p.Node, p.Cycle, p.Cluster = sp.Node, sp.Cycle, sp.Cluster
-		p.fuUnit, p.occupancy = sp.fuUnit, sp.occupancy
-		p.readPort, p.busIndex, p.linkIndex = sp.readPort, sp.busIndex, sp.linkIndex
-		for _, w := range sp.writeSlots {
-			p.writeSlots = append(p.writeSlots, w)
-		}
-		c.placed[node] = p
-	}
-}
-
-// Clone returns an independent deep copy.
-func (c *Cycle) Clone() *Cycle {
-	n := NewCycle(c.m, c.ii)
-	n.CopyFrom(c)
-	return n
 }
 
 // String renders the table, one line per resource instance, with "."

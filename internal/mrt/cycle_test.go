@@ -107,7 +107,7 @@ func TestCycleDuplicateTargetsTakeDistinctWritePorts(t *testing.T) {
 	if !c.CommitOp(CopyAt(0, 0, []int{1, 1}), 0) {
 		t.Fatal("duplicate-target copy should fit with 2 write ports")
 	}
-	p := c.PlacementOf(0)
+	p := placementOf(c, 0)
 	if p == nil || len(p.writeSlots) != 2 || p.writeSlots[0].port == p.writeSlots[1].port {
 		t.Errorf("duplicate targets must occupy distinct write ports: %+v", p)
 	}
@@ -165,20 +165,28 @@ func TestCycleCopyConflictsOf(t *testing.T) {
 	}
 }
 
+// placementOf returns the recorded placement of node, or nil.
+func placementOf(c *Cycle, node int) *Placement {
+	if node < 0 || node >= len(c.placed) {
+		return nil
+	}
+	return c.placed[node]
+}
+
 func TestCyclePlacementOf(t *testing.T) {
 	m := machine.NewBusedGP(1, 1, 1)
 	m.Buses = 0
 	c := NewCycle(m, 4)
 	c.CommitOp(OpAt(3, 0, ddg.OpLoad), 9)
-	p := c.PlacementOf(3)
+	p := placementOf(c, 3)
 	if p == nil || p.Cycle != 9 || p.Cluster != 0 {
 		t.Errorf("PlacementOf = %+v", p)
 	}
-	if c.PlacementOf(99) != nil || c.PlacementOf(-1) != nil {
+	if placementOf(c, 99) != nil || placementOf(c, -1) != nil {
 		t.Error("PlacementOf unknown node should be nil")
 	}
 	c.ReleaseOp(Op{Node: 3})
-	if c.PlacementOf(3) != nil {
+	if placementOf(c, 3) != nil {
 		t.Error("released node should have nil placement")
 	}
 }
@@ -217,10 +225,10 @@ func TestCycleResetIIReusesSlabs(t *testing.T) {
 	c.CommitOp(CopyAt(1, 0, []int{1}), 2)
 
 	c.ResetII(2)
-	if c.II() != 2 {
-		t.Errorf("II after ResetII = %d, want 2", c.II())
+	if c.ii != 2 {
+		t.Errorf("II after ResetII = %d, want 2", c.ii)
 	}
-	if c.PlacementOf(0) != nil || c.PlacementOf(1) != nil {
+	if placementOf(c, 0) != nil || placementOf(c, 1) != nil {
 		t.Error("ResetII should clear placements")
 	}
 	for s := 0; s < 2; s++ {
@@ -228,46 +236,6 @@ func TestCycleResetIIReusesSlabs(t *testing.T) {
 			t.Errorf("slot %d not empty after ResetII", s)
 		}
 	}
-}
-
-func TestCycleCopyFromRestores(t *testing.T) {
-	m := machine.NewBusedGP(2, 2, 1)
-	src := NewCycle(m, 2)
-	src.CommitOp(OpAt(0, 0, ddg.OpALU), 0)
-	src.CommitOp(CopyAt(1, 0, []int{1}), 1)
-
-	dst := NewCycle(m, 5)
-	dst.CommitOp(OpAt(9, 1, ddg.OpALU), 4)
-	dst.CopyFrom(src)
-
-	if dst.II() != 2 {
-		t.Errorf("II after CopyFrom = %d, want 2", dst.II())
-	}
-	if dst.String() != src.String() {
-		t.Errorf("CopyFrom mismatch:\n%s\nvs\n%s", dst.String(), src.String())
-	}
-	if dst.PlacementOf(9) != nil {
-		t.Error("CopyFrom should drop the receiver's old placements")
-	}
-	// Deep copy: releasing in dst leaves src intact.
-	dst.ReleaseOp(Op{Node: 1})
-	if src.PlacementOf(1) == nil || src.String() == dst.String() {
-		t.Error("CopyFrom aliases the source")
-	}
-	// The restored placement released the exact slots it held.
-	if !dst.ProbeOp(CopyAt(2, 0, []int{1}), 1) {
-		t.Error("releasing a restored copy should free its slots")
-	}
-}
-
-func TestCycleClonePanicsAcrossMachines(t *testing.T) {
-	c := NewCycle(machine.NewBusedGP(2, 1, 1), 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("CopyFrom across machines should panic")
-		}
-	}()
-	c.CopyFrom(NewCycle(machine.NewGrid4(1), 2))
 }
 
 // TestCycleResetIIShrinks checks the slab retention policy: a table

@@ -263,7 +263,7 @@ func (r *slotRef) checkAgainst(t *testing.T, c *Cycle) {
 		}
 	}
 	for node, p := range r.occ {
-		cp := c.PlacementOf(node)
+		cp := placementOf(c, node)
 		if cp == nil {
 			t.Fatalf("node %d placed in ref, missing in bitset table", node)
 		}

@@ -38,7 +38,7 @@ func NewJSON(w io.Writer) *JSONObserver {
 }
 
 // Event encodes e as one line. Encoding errors are sticky and stop
-// further writes; check Err after the run.
+// further writes.
 func (j *JSONObserver) Event(e Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -58,13 +58,6 @@ func (j *JSONObserver) Event(e Event) {
 	})
 }
 
-// Err returns the first write error, if any.
-func (j *JSONObserver) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
 // Collector records events in memory, for tests and programmatic
 // inspection. Safe for concurrent use.
 type Collector struct {
@@ -80,6 +73,8 @@ func (c *Collector) Event(e Event) {
 }
 
 // Events returns a copy of everything recorded so far.
+//
+//schedvet:test-api server's tests read a traced request's events through it
 func (c *Collector) Events() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -87,6 +82,8 @@ func (c *Collector) Events() []Event {
 }
 
 // Count returns how many recorded events have kind k.
+//
+//schedvet:test-api server's tests count a traced request's events through it
 func (c *Collector) Count(k EventKind) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

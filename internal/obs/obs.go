@@ -247,20 +247,11 @@ type Trace struct {
 	obs  Observer
 }
 
-// New builds a Trace for one run. It returns nil — the zero-cost
-// disabled path — when there is nothing to do: no observer, stats not
-// requested, and a context that can never be canceled.
-func New(ctx context.Context, o Observer, collectStats bool) *Trace {
-	if o == nil && !collectStats && (ctx == nil || ctx.Done() == nil) {
-		return nil
-	}
-	return new(Trace).Renew(ctx, o, collectStats)
-}
-
-// Renew re-arms t for a new run and returns it, with zeroed Stats: the
-// allocation-free New for an owner that runs one search at a time and
-// keeps one Trace across runs. It returns nil, leaving t alone, exactly
-// when New would.
+// Renew re-arms t for a new run and returns it, with zeroed Stats, so
+// an owner that runs one search at a time keeps one Trace across runs.
+// It returns nil, leaving t alone — the zero-cost disabled path — when
+// there is nothing to do: no observer, stats not requested, and a
+// context that can never be canceled.
 func (t *Trace) Renew(ctx context.Context, o Observer, collectStats bool) *Trace {
 	if ctx == nil {
 		ctx = context.Background()

@@ -50,10 +50,7 @@ func TestNewReturnsNilWhenNothingToDo(t *testing.T) {
 		{"observer", context.Background(), &Collector{}, false, false},
 		{"cancelable ctx", ctx, nil, false, false},
 	} {
-		if tr := New(c.ctx, c.o, c.stats); (tr == nil) != c.wantNil {
-			t.Errorf("New, %s: nil = %v, want %v", c.name, tr == nil, c.wantNil)
-		}
-		// Renew re-arms a kept Trace exactly when New would build one.
+		// Renew re-arms a kept Trace exactly when there is work to do.
 		tr := kept.Renew(c.ctx, c.o, c.stats)
 		if (tr == nil) != c.wantNil || tr != nil && (tr != &kept || tr.Stats != (Stats{})) {
 			t.Errorf("Renew, %s: got %p with %+v, want nil %v or the kept trace, zeroed", c.name, tr, kept.Stats, c.wantNil)
@@ -64,7 +61,7 @@ func TestNewReturnsNilWhenNothingToDo(t *testing.T) {
 
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	tr := New(ctx, nil, false)
+	tr := new(Trace).Renew(ctx, nil, false)
 	if tr.Canceled() {
 		t.Fatal("canceled before cancel")
 	}
@@ -78,7 +75,7 @@ func TestCancellation(t *testing.T) {
 }
 
 func TestStatsCounting(t *testing.T) {
-	tr := New(context.Background(), nil, true)
+	tr := new(Trace).Renew(context.Background(), nil, true)
 	tr.IICandidate(2)
 	tr.IICandidate(3)
 	tr.AssignCommit(3, 0, 0, false)
@@ -130,7 +127,7 @@ func TestStatsAddAndString(t *testing.T) {
 
 func TestObserverReceivesEvents(t *testing.T) {
 	var c Collector
-	tr := New(context.Background(), &c, false)
+	tr := new(Trace).Renew(context.Background(), &c, false)
 	tr.IICandidate(4)
 	tr.AssignCommit(4, 7, 1, false)
 	tr.AssignCommit(4, 8, 0, true)
@@ -159,7 +156,7 @@ func TestObserverReceivesEvents(t *testing.T) {
 
 func TestObserverFunc(t *testing.T) {
 	n := 0
-	tr := New(context.Background(), ObserverFunc(func(Event) { n++ }), false)
+	tr := new(Trace).Renew(context.Background(), ObserverFunc(func(Event) { n++ }), false)
 	tr.IICandidate(1)
 	tr.Eviction(1, 0, 1)
 	if n != 2 {
@@ -170,11 +167,11 @@ func TestObserverFunc(t *testing.T) {
 func TestJSONObserver(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJSON(&buf)
-	tr := New(context.Background(), j, false)
+	tr := new(Trace).Renew(context.Background(), j, false)
 	start := tr.BeginPhase(PhaseAssign, 2)
 	tr.AssignCommit(2, 0, 1, false)
 	tr.EndPhase(PhaseAssign, 2, start, true)
-	if err := j.Err(); err != nil {
+	if err := j.err; err != nil {
 		t.Fatalf("JSON observer error: %v", err)
 	}
 
@@ -224,7 +221,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		}
 	})
 	b.Run("stats", func(b *testing.B) {
-		tr := New(context.Background(), nil, true)
+		tr := new(Trace).Renew(context.Background(), nil, true)
 		for i := 0; i < b.N; i++ {
 			tr.AssignCommit(2, 1, 0, false)
 			tr.SchedDisplace(2, 1, 0)

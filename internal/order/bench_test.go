@@ -14,6 +14,6 @@ func BenchmarkCompute(b *testing.B) {
 	lat := func(k ddg.OpKind) int { return lats[k] }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compute(loops[i%len(loops)], lat)
+		new(Scratch).Compute(loops[i%len(loops)], lat)
 	}
 }

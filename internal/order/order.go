@@ -113,15 +113,9 @@ func moreCriticalSet(a, b rankedComp) bool {
 	return a.nodes[0] < b.nodes[0]
 }
 
-// Compute returns all node IDs in assignment priority order.
-func Compute(g *ddg.Graph, lat ddg.LatencyFunc) []int {
-	var s Scratch
-	return s.Compute(g, lat)
-}
-
-// Compute is the package-level Compute into the scratch's buffers,
-// element-identical to a fresh-allocation run. The returned slice is
-// overwritten by the next call on the same scratch.
+// Compute returns all node IDs in assignment priority order, in the
+// scratch's buffers: element-identical to a run on a fresh Scratch. The
+// returned slice is overwritten by the next call on the same scratch.
 func (s *Scratch) Compute(g *ddg.Graph, lat ddg.LatencyFunc) []int {
 	return s.ComputeWith(g, lat, nil, nil)
 }

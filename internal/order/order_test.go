@@ -76,7 +76,7 @@ func TestComputeIsAPermutation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := loopgen.Loop(rng)
-		order := Compute(g, lat)
+		order := new(Scratch).Compute(g, lat)
 		if len(order) != g.NumNodes() {
 			return false
 		}
@@ -96,7 +96,7 @@ func TestComputeIsAPermutation(t *testing.T) {
 
 func TestComputeListsSCCBeforeRest(t *testing.T) {
 	g := figure6()
-	order := Compute(g, lat)
+	order := new(Scratch).Compute(g, lat)
 	pos := make([]int, g.NumNodes())
 	for i, v := range order {
 		pos[v] = i
@@ -122,7 +122,7 @@ func TestSwingNeighbourProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := loopgen.Loop(rng)
-		order := Compute(g, lat)
+		order := new(Scratch).Compute(g, lat)
 		listed := make([]bool, g.NumNodes())
 		for i, v := range order {
 			if i > 0 && !hasListedNeighbour(g, v, listed) && hasAnyNeighbour(g, v) && !allNeighboursUnlisted(g, v, listed, order[:i]) {
@@ -164,7 +164,7 @@ func allNeighboursUnlisted(g *ddg.Graph, v int, listed []bool, _ []int) bool {
 
 func TestComputeEmptyGraph(t *testing.T) {
 	g := ddg.NewGraph(0, 0)
-	if order := Compute(g, lat); len(order) != 0 {
+	if order := new(Scratch).Compute(g, lat); len(order) != 0 {
 		t.Errorf("empty graph order = %v", order)
 	}
 }
@@ -172,7 +172,7 @@ func TestComputeEmptyGraph(t *testing.T) {
 func TestComputeSingleNode(t *testing.T) {
 	g := ddg.NewGraph(1, 0)
 	g.AddNode(ddg.OpALU, "")
-	if order := Compute(g, lat); len(order) != 1 || order[0] != 0 {
+	if order := new(Scratch).Compute(g, lat); len(order) != 1 || order[0] != 0 {
 		t.Errorf("order = %v, want [0]", order)
 	}
 }
@@ -180,8 +180,8 @@ func TestComputeSingleNode(t *testing.T) {
 func TestComputeDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := loopgen.Loop(rng)
-	a := Compute(g, lat)
-	b := Compute(g, lat)
+	a := new(Scratch).Compute(g, lat)
+	b := new(Scratch).Compute(g, lat)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("non-deterministic order at %d: %v vs %v", i, a, b)

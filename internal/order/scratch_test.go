@@ -23,7 +23,7 @@ func TestScratchComputeMatchesFresh(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		g := loopgen.Loop(rng)
 		warm := s.Compute(g, lat)
-		fresh := Compute(g, lat)
+		fresh := new(Scratch).Compute(g, lat)
 		if !reflect.DeepEqual(warm, fresh) {
 			t.Fatalf("loop %d: scratch order %v != fresh %v", i, warm, fresh)
 		}
@@ -56,7 +56,7 @@ func TestScratchComputeAcrossSizes(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for gi, g := range graphs {
 			warm := s.Compute(g, lat)
-			fresh := Compute(g, lat)
+			fresh := new(Scratch).Compute(g, lat)
 			if !reflect.DeepEqual(warm, fresh) {
 				t.Fatalf("graph %d round %d: scratch order diverges", gi, round)
 			}
@@ -95,7 +95,7 @@ func TestComputeWithSharedBounds(t *testing.T) {
 	var rs mii.RecScratch
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	dead := obs.New(ctx, nil, false)
+	dead := new(obs.Trace).Renew(ctx, nil, false)
 	for i, g := range loopgen.Suite(loopgen.Options{Seed: 23, Count: 60}) {
 		recs, ok := rs.SCCRecMIIs(g, lat, nil)
 		if !ok {

@@ -65,9 +65,6 @@ type Options struct {
 	Assign assign.Options
 	// Scheduler picks the phase-two algorithm (default IMS).
 	Scheduler Scheduler
-	// SchedBudgetRatio is the per-node displacement budget of the
-	// scheduler; zero selects the scheduler's default.
-	SchedBudgetRatio int
 	// MaxIISlack bounds the search: the pipeline gives up when
 	// II > MII + MaxIISlack. Zero selects DefaultMaxIISlack.
 	MaxIISlack int
@@ -116,6 +113,8 @@ type Outcome struct {
 
 // Run schedules loop g on machine m with no cancellation: it is
 // RunContext under context.Background().
+//
+//schedvet:test-api the one-shot reference the session oracle tests compare against
 func Run(g *ddg.Graph, m *machine.Config, opts Options) (*Outcome, error) {
 	return RunContext(context.Background(), g, m, opts)
 }

@@ -54,13 +54,13 @@ func oracleSchedule(ctx context.Context, g *ddg.Graph, m *machine.Config, opts O
 	if slack <= 0 {
 		slack = DefaultMaxIISlack
 	}
-	tr := obs.New(ctx, opts.Observer, opts.CollectStats)
+	tr := new(obs.Trace).Renew(ctx, opts.Observer, opts.CollectStats)
 	tm := tr.BeginPhase(obs.PhaseMII, 0)
 	out := &Outcome{MII: mii.MII(g, m)}
 	tr.EndPhase(obs.PhaseMII, out.MII, tm, true)
 
 	probe := func(ii int, seed []int) (po oracleProbe) {
-		ptr := obs.New(ctx, opts.Observer, tr != nil)
+		ptr := new(obs.Trace).Renew(ctx, opts.Observer, tr != nil)
 		p := assign.NewProblem(g, m, opts.Assign)
 		run := func(seed []int) []int {
 			ta := ptr.BeginPhase(obs.PhaseAssign, ii)
@@ -78,9 +78,9 @@ func oracleSchedule(ctx context.Context, g *ddg.Graph, m *machine.Config, opts O
 			ts := ptr.BeginPhase(obs.PhaseSched, ii)
 			var sok bool
 			if opts.Scheduler == SMS {
-				po.sch, sok = sched.SMS(in, opts.SchedBudgetRatio)
+				po.sch, sok = sched.SMS(in, 0)
 			} else {
-				po.sch, sok = sched.IMS(in, opts.SchedBudgetRatio)
+				po.sch, sok = sched.IMS(in, 0)
 			}
 			ptr.EndPhase(obs.PhaseSched, ii, ts, sok)
 			if !sok {

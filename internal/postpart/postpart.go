@@ -22,14 +22,6 @@ import (
 	"clustersched/internal/sched"
 )
 
-// Options configures the baseline.
-type Options struct {
-	// SchedBudgetRatio is passed to the modulo scheduler.
-	SchedBudgetRatio int
-	// MaxIISlack bounds the II search (default 96, as in pipeline).
-	MaxIISlack int
-}
-
 // Outcome mirrors pipeline.Outcome for the baseline.
 type Outcome struct {
 	II         int
@@ -38,23 +30,22 @@ type Outcome struct {
 	Schedule   *sched.Schedule
 }
 
+// maxIISlack bounds the II search above MII, as pipeline's default.
+const maxIISlack = 96
+
 // Run schedules loop g on clustered machine m with post-scheduling
 // partitioning.
-func Run(g *ddg.Graph, m *machine.Config, opts Options) (*Outcome, error) {
+func Run(g *ddg.Graph, m *machine.Config) (*Outcome, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("postpart: invalid graph: %w", err)
-	}
-	slack := opts.MaxIISlack
-	if slack <= 0 {
-		slack = 96
 	}
 	unified := m.Unified()
 	base := mii.MII(g, m)
 
-	for ii := base; ii <= base+slack; ii++ {
+	for ii := base; ii <= base+maxIISlack; ii++ {
 		// Phase 1: schedule as straight modulo-scheduled code on the
 		// unified machine.
-		us, ok := sched.IMS(sched.Input{Graph: g, Machine: unified, II: ii}, opts.SchedBudgetRatio)
+		us, ok := sched.IMS(sched.Input{Graph: g, Machine: unified, II: ii}, 0)
 		if !ok {
 			continue
 		}
@@ -77,13 +68,13 @@ func Run(g *ddg.Graph, m *machine.Config, opts Options) (*Outcome, error) {
 			CopyTargets: res.CopyTargets,
 			II:          ii,
 		}
-		s, ok := sched.IMS(in, opts.SchedBudgetRatio)
+		s, ok := sched.IMS(in, 0)
 		if !ok {
 			continue
 		}
 		return &Outcome{II: ii, MII: base, Assignment: res, Schedule: s}, nil
 	}
-	return nil, fmt.Errorf("postpart: no schedule for %q within II <= %d", m.Name, base+slack)
+	return nil, fmt.Errorf("postpart: no schedule for %q within II <= %d", m.Name, base+maxIISlack)
 }
 
 // partition distributes the unified schedule's operations across

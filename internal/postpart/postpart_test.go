@@ -16,7 +16,7 @@ func TestBaselineSchedulesValidly(t *testing.T) {
 	loops := loopgen.Suite(loopgen.Options{Seed: 14, Count: 60})
 	m := machine.NewBusedGP(2, 2, 1)
 	for i, g := range loops {
-		out, err := Run(g, m, Options{})
+		out, err := Run(g, m)
 		if err != nil {
 			t.Errorf("loop %d: %v", i, err)
 			continue
@@ -54,7 +54,7 @@ func TestPreSchedulingAssignmentBeatsBaseline(t *testing.T) {
 		pre, err1 := pipeline.Run(g, m, pipeline.Options{
 			Assign: assign.Options{Variant: assign.HeuristicIterative},
 		})
-		post, err2 := Run(g, m, Options{})
+		post, err2 := Run(g, m)
 		if err1 != nil || err2 != nil {
 			continue
 		}
@@ -81,7 +81,7 @@ func TestBaselineRejectsInvalidGraph(t *testing.T) {
 	b := g.AddNode(ddg.OpALU, "")
 	g.AddEdge(a, b, 0)
 	g.AddEdge(b, a, 0)
-	if _, err := Run(g, machine.NewBusedGP(2, 2, 1), Options{}); err == nil {
+	if _, err := Run(g, machine.NewBusedGP(2, 2, 1)); err == nil {
 		t.Error("invalid graph accepted")
 	}
 }

@@ -101,22 +101,6 @@ func mveFactor(ls []Lifetime, ii int) int {
 	return factor
 }
 
-// LowerBound returns Rau's averaged lower bound on register need:
-// ceil(sum of lifetimes / II), machine-wide and per cluster.
-func LowerBound(in sched.Input, s *sched.Schedule) (total int, perCluster []int) {
-	perSum := make([]int, in.Machine.NumClusters())
-	sum := 0
-	for _, l := range Lifetimes(in, s) {
-		sum += l.Len
-		perSum[l.Cluster] += l.Len
-	}
-	perCluster = make([]int, len(perSum))
-	for i, v := range perSum {
-		perCluster[i] = (v + s.II - 1) / s.II
-	}
-	return (sum + s.II - 1) / s.II, perCluster
-}
-
 // Binding is one value instance's register assignment: in an
 // MVE-unrolled kernel each of the Factor unrolled iterations writes
 // the value into its own register.

@@ -101,9 +101,9 @@ func TestLowerBound(t *testing.T) {
 	m := machine.NewUnifiedGP(4)
 	in := sched.Input{Graph: g, Machine: m, II: 3}
 	s := &sched.Schedule{II: 3, CycleOf: []int{0, 1}}
-	total, perCluster := LowerBound(in, s)
+	total, perCluster := lowerBound(in, s)
 	if total != 3 { // ceil(7/3)
-		t.Errorf("LowerBound = %d, want 3", total)
+		t.Errorf("lowerBound = %d, want 3", total)
 	}
 	if perCluster[0] != 3 {
 		t.Errorf("perCluster = %v", perCluster)
@@ -128,7 +128,7 @@ func TestAllocateMVEValidatesOnSuiteLoops(t *testing.T) {
 		}
 		// Sanity: register count at least the per-cluster MaxLive-ish
 		// lower bound and not absurdly high.
-		lbTotal, _ := LowerBound(in, s)
+		lbTotal, _ := lowerBound(in, s)
 		if alloc.TotalRegisters() < lbTotal {
 			t.Logf("allocated %d < lower bound %d", alloc.TotalRegisters(), lbTotal)
 			return false
@@ -242,4 +242,21 @@ func TestStoresAndBranchesGetNoRegisters(t *testing.T) {
 	if alloc.TotalRegisters() != 0 {
 		t.Errorf("allocated %d registers for no values", alloc.TotalRegisters())
 	}
+}
+
+// lowerBound returns Rau's averaged lower bound on register need:
+// ceil(sum of lifetimes / II), machine-wide and per cluster. No
+// allocation may use fewer registers.
+func lowerBound(in sched.Input, s *sched.Schedule) (total int, perCluster []int) {
+	perSum := make([]int, in.Machine.NumClusters())
+	sum := 0
+	for _, l := range Lifetimes(in, s) {
+		sum += l.Len
+		perSum[l.Cluster] += l.Len
+	}
+	perCluster = make([]int, len(perSum))
+	for i, v := range perSum {
+		perCluster[i] = (v + s.II - 1) / s.II
+	}
+	return (sum + s.II - 1) / s.II, perCluster
 }

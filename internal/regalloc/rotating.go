@@ -176,6 +176,8 @@ func ceilDivInt(a, b int) int {
 }
 
 // Validate re-checks the rotating allocation pair by pair.
+//
+//schedvet:test-api the pair-by-pair re-check the rotating allocator's tests run
 func (r *Rotating) Validate(in sched.Input, s *sched.Schedule) error {
 	byCluster := make([][]Lifetime, in.Machine.NumClusters())
 	for _, l := range Lifetimes(in, s) {

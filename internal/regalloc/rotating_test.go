@@ -100,7 +100,7 @@ func rotatingWithinBound(t *testing.T, seed int64, m *machine.Config) bool {
 			seed, m.Name, rot.TotalRegisters(), rot.RegsPerCluster, mve.TotalRegisters(), mve.RegsPerCluster)
 		return false
 	}
-	_, perCluster := LowerBound(in, s)
+	_, perCluster := lowerBound(in, s)
 	for cl, need := range perCluster {
 		if rot.RegsPerCluster[cl] < need {
 			t.Logf("seed %d on %s: cluster %d file %d below lower bound %d",

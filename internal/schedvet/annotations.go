@@ -18,13 +18,20 @@ import (
 //
 //	//schedvet:allow <pass> [reason]
 //	    On or immediately above a flagged line: suppress findings of
-//	    the named pass (mapiter, nondet, allocfree, lockdiscipline) at
-//	    that line. A reason is strongly encouraged.
+//	    the named pass (mapiter, nondet, allocfree, lockdiscipline,
+//	    testapi) at that line. A reason is strongly encouraged.
+//
+//	//schedvet:test-api <reason>
+//	    On the doc comment of an exported function or method, or on
+//	    the doc or line comment of an option field: a deliberate keeper
+//	    that only tests reach (a reference oracle, a validator). The
+//	    reason is required; without one the annotation exempts nothing.
 
 const (
 	allocFreeMarker        = "//schedvet:alloc-free"
 	allocFreeCalleesMarker = "//schedvet:alloc-free callees"
 	allowMarker            = "//schedvet:allow"
+	testAPIMarker          = "//schedvet:test-api"
 )
 
 // isAllocFree reports whether the function declaration carries the

@@ -3,7 +3,7 @@
 // module with a stdlib-only source importer and enforces the
 // determinism and zero-allocation contracts at compile time.
 //
-// Four passes run over the loaded packages:
+// Five passes run over the loaded packages:
 //
 //	mapiter         unordered range over a map in a determinism-critical
 //	                package (VET001) unless the sorted-keys idiom is used
@@ -18,6 +18,9 @@
 //	lockdiscipline  mutexes in internal/cache and internal/server must
 //	                not be held across channel operations (VET020) or
 //	                handler I/O (VET021)
+//	testapi         exported functions, methods and option fields of
+//	                internal packages must be reached from non-test
+//	                code (VET030)
 //
 // Findings flow through internal/diag, so schedvet and clusterlint
 // present one diagnostic surface. docs/ANALYSIS.md describes the passes
@@ -48,6 +51,14 @@ type Config struct {
 	// traversal does not enter; the observability layer legitimately
 	// reads wall-clock time for trace timestamps.
 	NoFollow []string
+	// TestAPI lists module-relative package paths whose exported
+	// functions, methods and option fields must be reached from
+	// non-test code. A path ending in "/" covers the packages under
+	// it, except those inside a testdata directory.
+	TestAPI []string
+	// TestAPIExempt lists module-relative package paths the test-API
+	// rule skips although TestAPI covers them.
+	TestAPIExempt []string
 }
 
 // DefaultConfig returns the project policy: the scheduling pipeline and
@@ -62,12 +73,20 @@ type Config struct {
 // across worker counts (critical — goroutines live in internal/pool,
 // timing goes through obs), and it must stay mutex-free (locks). The
 // frontend is critical because cache keys hash the graphs it builds:
-// their edge order must not depend on map iteration.
+// their edge order must not depend on map iteration. Every internal
+// package is under the test-API rule: its exported surface exists for
+// the module's own programs, so what only tests reach is dead weight.
+// The serving transport, internal/client and internal/server, is
+// exempt: it is held unchanged while the serve benchmarks' baseline is
+// re-measured, and its typed client methods and Server.CacheStats are
+// still reached only by tests.
 func DefaultConfig() Config {
 	return Config{
-		Critical: []string{"clustersched", "assign", "sched", "mrt", "mii", "order", "ddg", "pipeline", "cache", "membership", "cachering", "compile", "frontend"},
-		Locks:    []string{"cache", "server", "balance", "membership", "cachering", "compile", "frontend"},
-		NoFollow: []string{"obs"},
+		Critical:      []string{"clustersched", "assign", "sched", "mrt", "mii", "order", "ddg", "pipeline", "cache", "membership", "cachering", "compile", "frontend"},
+		Locks:         []string{"cache", "server", "balance", "membership", "cachering", "compile", "frontend"},
+		NoFollow:      []string{"obs"},
+		TestAPI:       []string{"internal/"},
+		TestAPIExempt: []string{"internal/client", "internal/server"},
 	}
 }
 
@@ -111,6 +130,7 @@ func Check(m *Module, pkgs []*Package, cfg Config) []diag.Diagnostic {
 	c.nondet()
 	c.allocfree()
 	c.lockdiscipline()
+	c.testapi()
 	diags := c.rep.Diagnostics()
 	diag.Sort(diags)
 	return diags

@@ -18,6 +18,7 @@ var fixtureDirs = []string{
 	"internal/schedvet/testdata/src/clean",
 	"internal/schedvet/testdata/src/compile",
 	"internal/schedvet/testdata/src/membership",
+	"internal/schedvet/testdata/src/testapi",
 	"internal/schedvet/testdata/src/util",
 }
 
@@ -38,7 +39,9 @@ func fixtureDiags(t *testing.T) []diag.Diagnostic {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	return Check(m, pkgs, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.TestAPI = append(cfg.TestAPI, "internal/schedvet/testdata/src/testapi")
+	return Check(m, pkgs, cfg)
 }
 
 // TestFixtureFindings proves every pass live: the seeded fixture
@@ -73,6 +76,10 @@ func TestFixtureFindings(t *testing.T) {
 		"VET001 cachering.go",  // unordered map range in Points
 		"VET002 membership.go", // time.Now in Touch
 		"VET002 compile.go",    // time.Now in Record
+		"VET030 testapi.go",    // unreferenced function TestOnly
+		"VET030 testapi.go",    // self-referenced function Countdown
+		"VET030 testapi.go",    // reasonless annotation on Bare
+		"VET030 testapi.go",    // never-written field Options.Spare
 	}
 	sort.Strings(got)
 	sort.Strings(want)
@@ -195,5 +202,23 @@ func TestLoadAll(t *testing.T) {
 	}
 	if p := byPath["clustersched/internal/assign"]; p != nil && len(p.Files) == 0 {
 		t.Error("assign loaded with no files")
+	}
+}
+
+// TestTestAPISubjects names the VET030 findings of the fixture: the
+// unreferenced and self-referenced functions, the reasonless
+// annotation and the never-written field, while the annotated keepers
+// and the interface method pass.
+func TestTestAPISubjects(t *testing.T) {
+	var got []string
+	for _, d := range fixtureDiags(t) {
+		if d.Code == "VET030" {
+			got = append(got, d.Subject)
+		}
+	}
+	want := []string{"testapi.Bare", "testapi.Countdown", "testapi.Options.Spare", "testapi.TestOnly"}
+	sort.Strings(got)
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("VET030 subjects = %v, want %v", got, want)
 	}
 }

@@ -97,6 +97,8 @@ func producesValue(g *ddg.Graph, n int) bool {
 // (in an annotated graph) are transparent, so NaiveValues of an
 // annotated graph agrees with NaiveValues of the original graph on
 // the original nodes.
+//
+//schedvet:test-api the sequential reference the pipelined-execution tests compare against
 func NaiveValues(g *ddg.Graph, iters int) [][]uint64 {
 	n := g.NumNodes()
 	vals := make([][]uint64, iters)
@@ -171,6 +173,8 @@ func NaiveValues(g *ddg.Graph, iters int) [][]uint64 {
 // value they read. The returned vals[it][node] compare against
 // NaiveValues of the same graph: any difference on a producing node
 // is a concrete semantic break of the pipelined execution.
+//
+//schedvet:test-api the pipelined execution the value-equivalence tests check against NaiveValues
 func PipelinedValues(in sched.Input, s *sched.Schedule, iters int, binding Binding) ([][]uint64, error) {
 	g := in.Graph
 	lat := in.Machine.Latency

@@ -61,6 +61,8 @@ func (h *DeltaHist) MatchPercent() float64 { return h.Percent(0) }
 // WithinPercent returns the percentage of loops within d cycles of the
 // unified II (the paper quotes "98% of the loops deviated by no more
 // than one cycle" for the grid machine).
+//
+//schedvet:test-api the paper's within-d-cycles figure the root benchmark tests report
 func (h *DeltaHist) WithinPercent(d int) float64 {
 	if d > MaxDelta {
 		d = MaxDelta
