@@ -1,7 +1,7 @@
 // Schedvet enforces the repository's determinism and zero-allocation
 // contracts statically: it loads and type-checks the module with a
 // stdlib-only source importer and runs the internal/schedvet passes
-// (mapiter, nondet, allocfree, lockdiscipline) over the requested
+// (mapiter, nondet, allocfree, lockdiscipline, testapi) over the requested
 // packages. Findings use the same coded-diagnostic surface as
 // clusterlint; docs/ANALYSIS.md describes the passes and
 // docs/DIAGNOSTICS.md catalogues the VET codes.

@@ -34,7 +34,6 @@ type point struct {
 // Ring is an immutable consistent-hash ring. Create one with New.
 type Ring struct {
 	epoch  uint64
-	vnodes int
 	ids    []string
 	points []point // sorted by (hash, node)
 }
@@ -64,7 +63,7 @@ func New(epoch uint64, ids []string, vnodes int) *Ring {
 			dedup = append(dedup, id)
 		}
 	}
-	r := &Ring{epoch: epoch, vnodes: vnodes, ids: dedup}
+	r := &Ring{epoch: epoch, ids: dedup}
 	r.points = make([]point, 0, len(dedup)*vnodes)
 	for ni, id := range dedup {
 		for v := 0; v < vnodes; v++ {

@@ -71,6 +71,25 @@ func TestSCCTwoSeparateCycles(t *testing.T) {
 	}
 }
 
+// TestSCCIndex maps every node to its non-trivial component: a back
+// edge closes the tail of a chain into the only recurrence.
+func TestSCCIndex(t *testing.T) {
+	g := chain(4)
+	g.AddEdge(3, 2, 1)
+	idx := []int{-1, -1, -1, -1}
+	for ci, c := range g.NonTrivialSCCs() {
+		for _, n := range c.Nodes {
+			idx[n] = ci
+		}
+	}
+	if idx[0] != -1 || idx[1] != -1 {
+		t.Errorf("nodes 0,1 should be outside SCCs: %v", idx)
+	}
+	if idx[2] != 0 || idx[3] != 0 {
+		t.Errorf("nodes 2,3 should be in SCC 0: %v", idx)
+	}
+}
+
 // reachable computes the transitive closure by DFS, the brute-force
 // oracle for the SCC property test.
 func reachable(g *Graph, from int) map[int]bool {

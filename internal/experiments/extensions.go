@@ -453,8 +453,9 @@ func LivermoreMachines() []*machine.Config {
 
 // LivermoreStudyContext schedules the real Livermore kernels on the
 // paper's machines and tabulates per-kernel initiation intervals
-// against the 8-wide unified baseline. The study is sequential (a handful of kernels); cancellation takes effect
-// between pipeline runs and mid-search inside each run.
+// against the 8-wide unified baseline. The study is sequential (a
+// handful of kernels); cancellation takes effect between pipeline runs
+// and mid-search inside each run.
 func LivermoreStudyContext(ctx context.Context, loops []frontend.Loop, opts Options) (LivermoreReport, error) {
 	rep := LivermoreReport{Machines: LivermoreMachines()}
 	unified := machine.NewUnifiedGP(8)

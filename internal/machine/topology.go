@@ -3,9 +3,10 @@ package machine
 import "sync"
 
 // Topology is the precomputed link fabric of one configuration: the
-// link index and shortest cluster path for every cluster pair. Consumers that previously re-ran the
-// BFS of Config.Path per construction (one cluster-assignment run
-// builds a full pair table) share one Topology per Config instead.
+// link index and shortest cluster path for every cluster pair.
+// Consumers that previously re-ran the BFS of Config.Path per
+// construction (one cluster-assignment run builds a full pair table)
+// share one Topology per Config instead.
 //
 // All returned slices are owned by the Topology and must be treated as
 // read-only.

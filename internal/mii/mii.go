@@ -20,7 +20,7 @@ import (
 //
 //schedvet:test-api the package-level bound the frontend and paper-example tests check
 func ResMII(g *ddg.Graph, m *machine.Config) int {
-	return resMII(g, m, unitTotalsOf(m))
+	return resMIIWith(g, m, unitTotalsOf(m), make([]int, machine.NumFUClasses))
 }
 
 // unitTotalsOf counts the machine's function units per class, the only
@@ -35,12 +35,9 @@ func unitTotalsOf(m *machine.Config) []int {
 	return unitTotals
 }
 
-func resMII(g *ddg.Graph, m *machine.Config, unitTotals []int) int {
-	return resMIIWith(g, m, unitTotals, make([]int, machine.NumFUClasses))
-}
-
-// resMIIWith is resMII with a caller-supplied per-class charge buffer
-// (length machine.NumFUClasses), which it zeroes and overwrites.
+// resMIIWith is ResMII against precomputed unit totals, with a
+// caller-supplied per-class charge buffer (length
+// machine.NumFUClasses), which it zeroes and overwrites.
 //
 //schedvet:alloc-free
 func resMIIWith(g *ddg.Graph, m *machine.Config, unitTotals, charged []int) int {

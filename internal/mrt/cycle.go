@@ -3,7 +3,6 @@ package mrt
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 
 	"clustersched/internal/ddg"
 	"clustersched/internal/machine"
@@ -506,56 +505,4 @@ func containsInt(xs []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// String renders the table, one line per resource instance, with "."
-// for free slots, for debugging and the schedview tool.
-func (c *Cycle) String() string {
-	var b strings.Builder
-	row := func(label string, busyAt func(s int) bool, ownerRow int) {
-		fmt.Fprintf(&b, "%-14s", label)
-		for s := 0; s < c.ii; s++ {
-			if busyAt(s) {
-				fmt.Fprintf(&b, "%4d", c.owner[ownerRow*c.ii+s])
-			} else {
-				b.WriteString("   .")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	for cl := 0; cl < c.nc; cl++ {
-		cfg := &c.m.Clusters[cl]
-		for u := range cfg.FUs {
-			u := u
-			row(fmt.Sprintf("c%d.%s%d", cl, cfg.FUs[u], u),
-				func(s int) bool { return c.fuBusy[cl*c.ii+s]&(1<<uint(u)) != 0 },
-				int(c.fuBase[cl])+u)
-		}
-		for p := 0; p < cfg.ReadPorts; p++ {
-			p := p
-			row(fmt.Sprintf("c%d.rd%d", cl, p),
-				func(s int) bool { return c.readBusy[cl*c.ii+s]&(1<<uint(p)) != 0 },
-				int(c.rdBase[cl])+p)
-		}
-		for p := 0; p < cfg.WritePorts; p++ {
-			p := p
-			row(fmt.Sprintf("c%d.wr%d", cl, p),
-				func(s int) bool { return c.writeBusy[cl*c.ii+s]&(1<<uint(p)) != 0 },
-				int(c.wrBase[cl])+p)
-		}
-	}
-	for i := 0; i < c.m.Buses; i++ {
-		i := i
-		row(fmt.Sprintf("bus%d", i),
-			func(s int) bool { return c.busBusy[s]&(1<<uint(i)) != 0 },
-			int(c.busBase)+i)
-	}
-	for i := range c.m.Links {
-		i := i
-		l := c.m.Links[i]
-		row(fmt.Sprintf("link%d-%d", l.A, l.B),
-			func(s int) bool { return c.linkBusy[s]&(1<<uint(i)) != 0 },
-			int(c.linkBase)+i)
-	}
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package mrt
 
 import (
-	"strings"
 	"testing"
 
 	"clustersched/internal/ddg"
@@ -188,16 +187,6 @@ func TestCyclePlacementOf(t *testing.T) {
 	c.ReleaseOp(Op{Node: 3})
 	if placementOf(c, 3) != nil {
 		t.Error("released node should have nil placement")
-	}
-}
-
-func TestCycleStringShowsOccupancy(t *testing.T) {
-	m := machine.NewBusedGP(1, 1, 1)
-	c := NewCycle(m, 2)
-	c.CommitOp(OpAt(42, 0, ddg.OpALU), 1)
-	s := c.String()
-	if !strings.Contains(s, "42") || !strings.Contains(s, "c0.gp") {
-		t.Errorf("String() missing occupant:\n%s", s)
 	}
 }
 

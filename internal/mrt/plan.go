@@ -16,8 +16,6 @@ import (
 // so plans are built once per Config and shared. All slices are
 // read-only after construction.
 type plan struct {
-	nc int
-
 	// Capacity charge plan.
 	classOf []int8  // [cl*NumOpKinds+k] -> FU class charged, or -1
 	occOf   []int   // [k] -> function-unit occupancy (slot-cycles)
@@ -78,7 +76,7 @@ func planOf(m *machine.Config) *plan {
 
 func buildPlan(m *machine.Config) *plan {
 	nc := m.NumClusters()
-	p := &plan{nc: nc}
+	p := &plan{}
 
 	p.occOf = make([]int, ddg.NumOpKinds)
 	for k := 0; k < ddg.NumOpKinds; k++ {

@@ -17,7 +17,6 @@ import (
 // analysis.
 type Package struct {
 	Path  string      // import path, e.g. "clustersched/internal/assign"
-	Dir   string      // absolute directory
 	Files []*ast.File // non-test sources in file-name order
 	Types *types.Package
 	Info  *types.Info
@@ -141,7 +140,6 @@ func (m *Module) loadLocal(path, dir string) (*Package, error) {
 	}
 	pkg := &Package{
 		Path: path,
-		Dir:  dir,
 		Info: &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
 			Defs:       make(map[*ast.Ident]types.Object),

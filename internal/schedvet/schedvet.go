@@ -191,7 +191,7 @@ func funcsOf(pkg *Package) []funcDecl {
 				continue
 			}
 			obj, _ := pkg.Info.Defs[fn.Name].(*types.Func)
-			out = append(out, funcDecl{pkg: pkg, file: f, decl: fn, obj: obj})
+			out = append(out, funcDecl{pkg: pkg, decl: fn, obj: obj})
 		}
 	}
 	return out
@@ -199,7 +199,6 @@ func funcsOf(pkg *Package) []funcDecl {
 
 type funcDecl struct {
 	pkg  *Package
-	file *ast.File
 	decl *ast.FuncDecl
 	obj  *types.Func
 }

@@ -1,29 +1,22 @@
-// Package testapi seeds the test-API rule (VET030). The fixture test
-// puts it under TestAPI; its expected findings are TestOnly, Countdown,
-// Bare and Options.Spare.
+// Package testapi seeds VET030 for TestTestAPISubjects: TestOnly,
+// Countdown, Bare and Options.Spare are flagged; Oracle, Trace and
+// Name.String are not.
 package testapi
 
 import "fmt"
 
-// Options mixes the three kinds of option field.
 type Options struct {
-	// Depth is written by run below.
-	Depth int
-	// Spare is read but never written: VET030.
-	Spare int
-	// Trace is exempt.
-	//
+	Depth int // written by run
+	Spare int // read, never written
 	//schedvet:test-api the fixture's deliberate keeper field
 	Trace bool
 }
 
-// Reached is called from run.
 func Reached(o Options) int { return o.Depth + o.Spare }
 
-// TestOnly has no non-test reference: VET030.
 func TestOnly() int { return 2 }
 
-// Countdown refers only to itself: VET030.
+// Countdown refers only to itself.
 func Countdown(n int) int {
 	if n == 0 {
 		return 0
@@ -31,25 +24,19 @@ func Countdown(n int) int {
 	return Countdown(n - 1)
 }
 
-// Oracle is exempt.
-//
 //schedvet:test-api the reference the fixture's tests compare against
 func Oracle() int { return 3 }
 
-// Bare carries the annotation with no reason, which exempts nothing:
-// VET030.
+// Bare's annotation gives no reason, so it exempts nothing.
 //
 //schedvet:test-api
 func Bare() int { return 4 }
 
-// Name implements fmt.Stringer, so calls through the interface reach
-// its String method.
+// Name implements fmt.Stringer, which reaches String dynamically.
 type Name string
 
 func (n Name) String() string { return string(n) }
 
 var _ fmt.Stringer = Name("")
 
-func run() int {
-	return Reached(Options{Depth: 1})
-}
+func run() int { return Reached(Options{Depth: 1}) }
