@@ -96,16 +96,18 @@ func main() {
 		os.Exit(2)
 	}
 	if *trace != "" {
-		w := os.Stderr
-		if *trace != "-" {
-			f, err := os.Create(*trace)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
+		j, finish, err := obs.CreateJSON(*trace)
+		if err != nil {
+			fatal(err)
 		}
-		opts.Observer = obs.NewJSON(w)
+		// Every mode below returns through here, so a trace cut short
+		// fails the run.
+		defer func() {
+			if err := finish(); err != nil {
+				fatal(fmt.Errorf("trace: %w", err))
+			}
+		}()
+		opts.Observer = j
 	}
 
 	if *markdown {

@@ -113,16 +113,12 @@ func main() {
 		schedOpts = append(schedOpts, clustersched.WithTimeout(*timeout))
 	}
 	if *trace != "" {
-		w := os.Stderr
-		if *trace != "-" {
-			f, err := os.Create(*trace)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
+		j, finish, err := obs.CreateJSON(*trace)
+		if err != nil {
+			fatal(err)
 		}
-		schedOpts = append(schedOpts, clustersched.WithObserver(clustersched.NewJSONObserver(w)))
+		defer finishTrace(finish)
+		schedOpts = append(schedOpts, clustersched.WithObserver(j))
 	}
 
 	for _, l := range loops {
@@ -186,17 +182,13 @@ func compileTU(ctx context.Context, src string, m *clustersched.Machine, cfg tuC
 		StageSched: cfg.stages,
 		Pipelined:  cfg.pipelined,
 	}
+	finish := func() error { return nil }
 	if cfg.trace != "" {
-		w := os.Stderr
-		if cfg.trace != "-" {
-			f, err := os.Create(cfg.trace)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
+		j, f, err := obs.CreateJSON(cfg.trace)
+		if err != nil {
+			fatal(err)
 		}
-		opts.Pipeline.Observer = obs.NewJSON(w)
+		opts.Pipeline.Observer, finish = j, f
 		// A shared event stream from concurrent schedulers would
 		// interleave; tracing serializes the schedule stage.
 		if opts.Workers != 1 {
@@ -225,6 +217,7 @@ func compileTU(ctx context.Context, src string, m *clustersched.Machine, cfg tuC
 		}
 		fatal(fmt.Errorf("interrupted: %w", err))
 	}
+	finishTrace(finish)
 	if cfg.verbose {
 		fmt.Fprintf(os.Stderr, "frontend: %d loops, %s parse and build summed over workers\n", len(res.Loops), time.Duration(res.FrontendNS))
 		for _, st := range res.Stages {
@@ -235,6 +228,13 @@ func compileTU(ctx context.Context, src string, m *clustersched.Machine, cfg tuC
 	}
 	if res.Failed > 0 {
 		os.Exit(1)
+	}
+}
+
+// finishTrace ends a -trace stream, failing the run if it was cut short.
+func finishTrace(finish func() error) {
+	if err := finish(); err != nil {
+		fatal(fmt.Errorf("trace: %w", err))
 	}
 }
 

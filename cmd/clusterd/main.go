@@ -55,17 +55,13 @@ func main() {
 		Workers:     *workers,
 		NodeID:      *node,
 	}
+	finishTrace := func() error { return nil }
 	if *trace != "" {
-		w := os.Stderr
-		if *trace != "-" {
-			f, err := os.Create(*trace)
-			if err != nil {
-				logger.Fatal(err)
-			}
-			defer f.Close()
-			w = f
+		j, finish, err := obs.CreateJSON(*trace)
+		if err != nil {
+			logger.Fatal(err)
 		}
-		cfg.Observer = obs.NewJSON(w)
+		cfg.Observer, finishTrace = j, finish
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -106,6 +102,10 @@ func main() {
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Printf("serve: %v", err)
+	}
+	if err := finishTrace(); err != nil {
+		logger.Printf("trace: %v", err)
+		os.Exit(1)
 	}
 	logger.Printf("drained, bye")
 }

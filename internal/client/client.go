@@ -33,6 +33,8 @@ func New(baseURL string, httpClient *http.Client) *Client {
 }
 
 // BaseURL returns the daemon address this client talks to.
+//
+//schedvet:test-api server's tests post raw requests to the address it holds
 func (c *Client) BaseURL() string { return c.base }
 
 // APIError is a non-2xx reply, carrying the server's structured error
@@ -93,6 +95,8 @@ func (c *Client) do(ctx context.Context, method, path string, req, out any) (bod
 // Schedule runs one loop through /v1/schedule. cached reports whether
 // the daemon served the result from its cache (hit or coalesced)
 // rather than running the pipeline for this request.
+//
+//schedvet:test-api server's tests drive /v1/schedule through it
 func (c *Client) Schedule(ctx context.Context, req server.ScheduleRequest) (resp *server.ScheduleResponse, cached bool, err error) {
 	resp = new(server.ScheduleResponse)
 	_, xcache, err := c.do(ctx, http.MethodPost, "/v1/schedule", req, resp)
@@ -109,6 +113,8 @@ func (c *Client) ScheduleRaw(ctx context.Context, req server.ScheduleRequest) (b
 }
 
 // Batch runs a multi-loop payload through /v1/batch.
+//
+//schedvet:test-api server's tests drive /v1/batch through it
 func (c *Client) Batch(ctx context.Context, req server.BatchRequest) (*server.BatchResponse, error) {
 	resp := new(server.BatchResponse)
 	if _, _, err := c.do(ctx, http.MethodPost, "/v1/batch", req, resp); err != nil {
@@ -120,6 +126,8 @@ func (c *Client) Batch(ctx context.Context, req server.BatchRequest) (*server.Ba
 // Compile runs a whole translation unit through /v1/compile: every
 // loop comes back as an emitted kernel (or a per-loop error), with
 // per-loop cache accounting.
+//
+//schedvet:test-api server's tests drive /v1/compile through it
 func (c *Client) Compile(ctx context.Context, req server.CompileRequest) (*server.CompileResponse, error) {
 	resp := new(server.CompileResponse)
 	if _, _, err := c.do(ctx, http.MethodPost, "/v1/compile", req, resp); err != nil {
@@ -129,6 +137,8 @@ func (c *Client) Compile(ctx context.Context, req server.CompileRequest) (*serve
 }
 
 // Lint runs the static-analysis passes through /v1/lint.
+//
+//schedvet:test-api server's tests drive /v1/lint through it
 func (c *Client) Lint(ctx context.Context, req server.LintRequest) (*server.LintResponse, error) {
 	resp := new(server.LintResponse)
 	if _, _, err := c.do(ctx, http.MethodPost, "/v1/lint", req, resp); err != nil {

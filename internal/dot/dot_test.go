@@ -50,7 +50,7 @@ func TestRenderGroupsByCluster(t *testing.T) {
 		CopyTargets: res.CopyTargets,
 		II:          2,
 	}
-	s, ok := sched.IMS(in, 0)
+	s, ok := sched.IMS(in)
 	if !ok {
 		t.Fatal("unschedulable")
 	}

@@ -97,7 +97,7 @@ func fixture(t *testing.T) (sched.Input, *sched.Schedule) {
 			CopyTargets: res.CopyTargets,
 			II:          ii,
 		}
-		if s, ok := sched.IMS(in, 0); ok {
+		if s, ok := sched.IMS(in); ok {
 			return in, s
 		}
 	}
@@ -167,7 +167,7 @@ func TestKernelUnifiedMachineSingleColumn(t *testing.T) {
 	g.AddEdge(a, b, 0)
 	m := machine.NewUnifiedGP(4)
 	in := sched.Input{Graph: g, Machine: m, II: 1}
-	s, ok := sched.IMS(in, 0)
+	s, ok := sched.IMS(in)
 	if !ok {
 		t.Fatal("unschedulable")
 	}
@@ -222,7 +222,7 @@ func TestGanttFullRowMarker(t *testing.T) {
 		Latencies: machine.DefaultLatencies(),
 	}
 	in := sched.Input{Graph: g, Machine: m, II: 2}
-	s, ok := sched.IMS(in, 0)
+	s, ok := sched.IMS(in)
 	if !ok {
 		t.Fatal("unschedulable")
 	}

@@ -36,15 +36,17 @@ func TestSweepContextStopsAtCanceledDesign(t *testing.T) {
 	}
 }
 
+// TestEvaluateContextMatchesEvaluate checks that two workers measure
+// the same point as one.
 func TestEvaluateContextMatchesEvaluate(t *testing.T) {
 	loops := loopgen.Suite(loopgen.Options{Count: 15})
 	m := machine.NewBusedGP(2, 2, 1)
-	want := Evaluate(m, loops, 2)
+	want := evaluate(m, loops, 1)
 	got, err := EvaluateContext(context.Background(), m, loops, 2)
 	if err != nil {
 		t.Fatalf("EvaluateContext: %v", err)
 	}
 	if got.MatchPct != want.MatchPct || got.AvgII != want.AvgII || got.Scheduled != want.Scheduled {
-		t.Errorf("EvaluateContext %+v != Evaluate %+v", got, want)
+		t.Errorf("2 workers %+v != 1 worker %+v", got, want)
 	}
 }

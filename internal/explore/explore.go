@@ -62,15 +62,6 @@ func filePorts(m *machine.Config, c int) (total, reads int) {
 	return reads + writes, reads
 }
 
-// Evaluate measures one machine over the loops; it is EvaluateContext
-// under context.Background().
-//
-//schedvet:test-api the context-free one-machine form explore's own tests measure with
-func Evaluate(m *machine.Config, loops []*ddg.Graph, workers int) Point {
-	p, _ := EvaluateContext(context.Background(), m, loops, workers)
-	return p
-}
-
 // EvaluateContext measures one machine over the loops on a bounded
 // worker pool, stopping early — with a partial Point and ctx.Err() —
 // when ctx is canceled.

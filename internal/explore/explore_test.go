@@ -1,16 +1,24 @@
 package explore
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"clustersched/internal/ddg"
 	"clustersched/internal/loopgen"
 	"clustersched/internal/machine"
 )
 
+// evaluate is EvaluateContext under context.Background().
+func evaluate(m *machine.Config, loops []*ddg.Graph, workers int) Point {
+	p, _ := EvaluateContext(context.Background(), m, loops, workers)
+	return p
+}
+
 func TestEvaluateUnifiedMatchesItself(t *testing.T) {
 	loops := loopgen.Suite(loopgen.Options{Seed: 3, Count: 60})
-	p := Evaluate(machine.NewUnifiedGP(8), loops, 0)
+	p := evaluate(machine.NewUnifiedGP(8), loops, 0)
 	if p.Scheduled < 55 {
 		t.Fatalf("scheduled only %d loops", p.Scheduled)
 	}
@@ -24,8 +32,8 @@ func TestEvaluateUnifiedMatchesItself(t *testing.T) {
 
 func TestClusteringShrinksTheLargestFile(t *testing.T) {
 	loops := loopgen.Suite(loopgen.Options{Seed: 5, Count: 80})
-	unified := Evaluate(machine.NewUnifiedGP(16), loops, 0)
-	clustered := Evaluate(machine.NewBusedGP(4, 4, 2), loops, 0)
+	unified := evaluate(machine.NewUnifiedGP(16), loops, 0)
+	clustered := evaluate(machine.NewBusedGP(4, 4, 2), loops, 0)
 
 	if clustered.AvgRegsLargestFile >= unified.AvgRegsLargestFile {
 		t.Errorf("clustered largest file %.1f regs >= unified %.1f",

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"os"
 	"sync"
 	"time"
 )
@@ -37,6 +39,32 @@ func NewJSON(w io.Writer) *JSONObserver {
 	return &JSONObserver{enc: json.NewEncoder(w), start: time.Now()}
 }
 
+// CreateJSON returns a JSONObserver writing to the named file, or to
+// stderr for "-", and a finish function that closes the file and
+// returns the stream's first encoding, write or close error. A program
+// that traces calls finish when its run is done, so a trace cut short
+// by a full disk or a closed pipe does not pass silently.
+func CreateJSON(path string) (*JSONObserver, func() error, error) {
+	if path == "-" {
+		j := NewJSON(os.Stderr)
+		return j, j.Err, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	j := NewJSON(f)
+	return j, func() error { return errors.Join(j.Err(), f.Close()) }, nil
+}
+
+// Err returns the first encoding or write error; after it the observer
+// writes nothing more.
+func (j *JSONObserver) Err() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.err
+}
+
 // Event encodes e as one line. Encoding errors are sticky and stop
 // further writes.
 func (j *JSONObserver) Event(e Event) {
@@ -56,42 +84,4 @@ func (j *JSONObserver) Event(e Event) {
 		DurUS:   e.Dur.Microseconds(),
 		OK:      e.OK,
 	})
-}
-
-// Collector records events in memory, for tests and programmatic
-// inspection. Safe for concurrent use.
-type Collector struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// Event appends e.
-func (c *Collector) Event(e Event) {
-	c.mu.Lock()
-	c.events = append(c.events, e)
-	c.mu.Unlock()
-}
-
-// Events returns a copy of everything recorded so far.
-//
-//schedvet:test-api server's tests read a traced request's events through it
-func (c *Collector) Events() []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Event(nil), c.events...)
-}
-
-// Count returns how many recorded events have kind k.
-//
-//schedvet:test-api server's tests count a traced request's events through it
-func (c *Collector) Count(k EventKind) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, e := range c.events {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
 }

@@ -5,6 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -47,7 +50,7 @@ func TestNewReturnsNilWhenNothingToDo(t *testing.T) {
 		{"background ctx, no observer, no stats", context.Background(), nil, false, true},
 		{"nil ctx", nil, nil, false, true},
 		{"stats request", context.Background(), nil, true, false},
-		{"observer", context.Background(), &Collector{}, false, false},
+		{"observer", context.Background(), ObserverFunc(func(Event) {}), false, false},
 		{"cancelable ctx", ctx, nil, false, false},
 	} {
 		// Renew re-arms a kept Trace exactly when there is work to do.
@@ -125,24 +128,39 @@ func TestStatsAddAndString(t *testing.T) {
 	}
 }
 
+// collector records the events a trace emits.
+type collector struct{ events []Event }
+
+func (c *collector) Event(e Event) { c.events = append(c.events, e) }
+
+func (c *collector) count(k EventKind) int {
+	n := 0
+	for _, e := range c.events {
+		if e.Kind == k {
+			n++
+		}
+	}
+	return n
+}
+
 func TestObserverReceivesEvents(t *testing.T) {
-	var c Collector
+	var c collector
 	tr := new(Trace).Renew(context.Background(), &c, false)
 	tr.IICandidate(4)
 	tr.AssignCommit(4, 7, 1, false)
 	tr.AssignCommit(4, 8, 0, true)
 	tr.SchedDisplace(4, 7, 8)
 
-	if got := c.Count(KindIICandidate); got != 1 {
+	if got := c.count(KindIICandidate); got != 1 {
 		t.Errorf("ii candidates = %d", got)
 	}
-	if got := c.Count(KindAssignCommit); got != 1 {
+	if got := c.count(KindAssignCommit); got != 1 {
 		t.Errorf("commits = %d", got)
 	}
-	if got := c.Count(KindForcePlace); got != 1 {
+	if got := c.count(KindForcePlace); got != 1 {
 		t.Errorf("forced = %d", got)
 	}
-	events := c.Events()
+	events := c.events
 	if len(events) != 4 {
 		t.Fatalf("events = %d, want 4", len(events))
 	}
@@ -171,7 +189,7 @@ func TestJSONObserver(t *testing.T) {
 	start := tr.BeginPhase(PhaseAssign, 2)
 	tr.AssignCommit(2, 0, 1, false)
 	tr.EndPhase(PhaseAssign, 2, start, true)
-	if err := j.err; err != nil {
+	if err := j.Err(); err != nil {
 		t.Fatalf("JSON observer error: %v", err)
 	}
 
@@ -195,6 +213,56 @@ func TestJSONObserver(t *testing.T) {
 	}
 	if lines[2]["kind"] != "phase_end" || lines[2]["ok"] != true {
 		t.Errorf("line 2 = %v", lines[2])
+	}
+}
+
+// failingWriter accepts n writes and fails every one after.
+type failingWriter struct{ n int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errors.New("disk full")
+	}
+	w.n--
+	return len(p), nil
+}
+
+// TestJSONObserverErrIsSticky checks that a failed write is kept and
+// stops the stream: one good line, then the error, then no more writes.
+func TestJSONObserverErrIsSticky(t *testing.T) {
+	w := &failingWriter{n: 1}
+	j := NewJSON(w)
+	for i := 0; i < 3; i++ {
+		j.Event(Event{Kind: KindAssignCommit, Node: i})
+	}
+	if err := j.Err(); err == nil || err.Error() != "disk full" {
+		t.Fatalf("Err = %v, want the write error", err)
+	}
+}
+
+// TestCreateJSON writes a trace file through CreateJSON and checks that
+// finish reports a clean stream and leaves every line on disk, and that
+// a missing directory fails at creation.
+func TestCreateJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	j, finish, err := CreateJSON(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Event(Event{Kind: KindAssignCommit})
+	j.Event(Event{Kind: KindAssignCommit})
+	if err := finish(); err != nil {
+		t.Fatalf("finish: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n != 2 {
+		t.Errorf("trace file has %d lines, want 2", n)
+	}
+	if _, _, err := CreateJSON(filepath.Join(t.TempDir(), "missing", "trace.json")); err == nil {
+		t.Error("CreateJSON in a missing directory succeeded")
 	}
 }
 

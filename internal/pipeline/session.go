@@ -221,9 +221,9 @@ func (s *Session) attempt(ii int, seed []int, tr *obs.Trace) (*assign.Result, *s
 	ts := tr.BeginPhase(obs.PhaseSched, ii)
 	switch s.opts.Scheduler {
 	case SMS:
-		sch, sok = sched.SMS(in, 0)
+		sch, sok = sched.SMS(in)
 	default:
-		sch, sok = sched.IMS(in, 0)
+		sch, sok = sched.IMS(in)
 	}
 	tr.EndPhase(obs.PhaseSched, ii, ts, sok)
 	if !sok {

@@ -78,9 +78,9 @@ func oracleSchedule(ctx context.Context, g *ddg.Graph, m *machine.Config, opts O
 			ts := ptr.BeginPhase(obs.PhaseSched, ii)
 			var sok bool
 			if opts.Scheduler == SMS {
-				po.sch, sok = sched.SMS(in, 0)
+				po.sch, sok = sched.SMS(in)
 			} else {
-				po.sch, sok = sched.IMS(in, 0)
+				po.sch, sok = sched.IMS(in)
 			}
 			ptr.EndPhase(obs.PhaseSched, ii, ts, sok)
 			if !sok {

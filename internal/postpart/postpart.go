@@ -45,7 +45,7 @@ func Run(g *ddg.Graph, m *machine.Config) (*Outcome, error) {
 	for ii := base; ii <= base+maxIISlack; ii++ {
 		// Phase 1: schedule as straight modulo-scheduled code on the
 		// unified machine.
-		us, ok := sched.IMS(sched.Input{Graph: g, Machine: unified, II: ii}, 0)
+		us, ok := sched.IMS(sched.Input{Graph: g, Machine: unified, II: ii})
 		if !ok {
 			continue
 		}
@@ -68,7 +68,7 @@ func Run(g *ddg.Graph, m *machine.Config) (*Outcome, error) {
 			CopyTargets: res.CopyTargets,
 			II:          ii,
 		}
-		s, ok := sched.IMS(in, 0)
+		s, ok := sched.IMS(in)
 		if !ok {
 			continue
 		}

@@ -29,7 +29,7 @@ func schedule(t testing.TB, g *ddg.Graph, m *machine.Config) (sched.Input, *sche
 			CopyTargets: res.CopyTargets,
 			II:          ii,
 		}
-		if s, ok := sched.IMS(in, 0); ok {
+		if s, ok := sched.IMS(in); ok {
 			return in, s
 		}
 	}

@@ -46,11 +46,11 @@ func TestSchedulersWarmRunAllocs(t *testing.T) {
 				II:          ii + 2, // slack so both schedulers succeed
 				Scratch:     sc,
 			}
-			if _, ok := run(in, 0); !ok {
+			if _, ok := run(in); !ok {
 				t.Skipf("%s found no schedule; alloc gate not applicable", name)
 			}
 			if avg := testing.AllocsPerRun(20, func() {
-				if _, ok := run(in, 0); !ok {
+				if _, ok := run(in); !ok {
 					t.Fatalf("%s failed on a warm rerun", name)
 				}
 			}); avg > 2 {

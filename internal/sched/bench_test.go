@@ -42,7 +42,7 @@ func BenchmarkIMS2Cluster(b *testing.B) {
 	ins := fixtures(b, machine.NewBusedGP(2, 2, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		IMS(ins[i%len(ins)], 0)
+		IMS(ins[i%len(ins)])
 	}
 }
 
@@ -50,7 +50,7 @@ func BenchmarkSMS2Cluster(b *testing.B) {
 	ins := fixtures(b, machine.NewBusedGP(2, 2, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SMS(ins[i%len(ins)], 0)
+		SMS(ins[i%len(ins)])
 	}
 }
 
@@ -63,6 +63,6 @@ func BenchmarkIMSUnified16(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		IMS(ins[i%len(ins)], 0)
+		IMS(ins[i%len(ins)])
 	}
 }

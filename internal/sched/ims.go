@@ -4,16 +4,16 @@ import (
 	"clustersched/internal/obs"
 )
 
-// DefaultIMSBudgetRatio is the scheduling-attempt budget per node used
-// by IMS when the caller passes a non-positive ratio (Rau reports a
-// ratio of a few attempts per operation suffices; we are generous).
-const DefaultIMSBudgetRatio = 12
+// imsBudgetRatio is IMS's scheduling-attempt budget per node (Rau
+// reports a ratio of a few attempts per operation suffices; we are
+// generous).
+const imsBudgetRatio = 12
 
 // IMS runs Rau's iterative modulo scheduler on the input at its fixed
 // II. It reports false when no schedule was found within the budget
 // (including the case where inserted copies push RecMII above II, so
 // no schedule can exist).
-func IMS(in Input, budgetRatio int) (*Schedule, bool) {
+func IMS(in Input) (*Schedule, bool) {
 	validateInput(in)
 	g := in.Graph
 	lat := in.Machine.Latency
@@ -33,10 +33,7 @@ func IMS(in Input, budgetRatio int) (*Schedule, bool) {
 		return nil, false
 	}
 
-	if budgetRatio <= 0 {
-		budgetRatio = DefaultIMSBudgetRatio
-	}
-	budget := budgetRatio * n
+	budget := imsBudgetRatio * n
 
 	table := s.tableFor(&in)
 	cycleOf, scheduled, everTried, lastCycle := s.prep(n)

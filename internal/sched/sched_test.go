@@ -47,8 +47,8 @@ func checkSchedule(t *testing.T, in Input, s *Schedule) {
 	}
 }
 
-func schedulers() map[string]func(Input, int) (*Schedule, bool) {
-	return map[string]func(Input, int) (*Schedule, bool){
+func schedulers() map[string]func(Input) (*Schedule, bool) {
+	return map[string]func(Input) (*Schedule, bool){
 		"IMS": IMS,
 		"SMS": SMS,
 	}
@@ -64,7 +64,7 @@ func TestSchedulersOnChain(t *testing.T) {
 			g.AddEdge(a, b, 0)
 			g.AddEdge(b, c, 0)
 			in := unifiedInput(g, 4, 1)
-			s, ok := run(in, 0)
+			s, ok := run(in)
 			if !ok {
 				t.Fatal("chain unschedulable at II=1")
 			}
@@ -84,10 +84,10 @@ func TestSchedulersRejectIIBelowRecMII(t *testing.T) {
 			b := g.AddNode(ddg.OpALU, "")
 			g.AddEdge(a, b, 0)
 			g.AddEdge(b, a, 1) // RecMII 2
-			if _, ok := run(unifiedInput(g, 4, 1), 0); ok {
+			if _, ok := run(unifiedInput(g, 4, 1)); ok {
 				t.Error("scheduled below RecMII")
 			}
-			if _, ok := run(unifiedInput(g, 4, 2), 0); !ok {
+			if _, ok := run(unifiedInput(g, 4, 2)); !ok {
 				t.Error("failed at RecMII")
 			}
 		})
@@ -103,7 +103,7 @@ func TestSchedulersResourceLimited(t *testing.T) {
 				g.AddNode(ddg.OpALU, "")
 			}
 			in := unifiedInput(g, 4, 2)
-			s, ok := run(in, 0)
+			s, ok := run(in)
 			if !ok {
 				t.Fatal("exact-fit schedule failed")
 			}
@@ -116,7 +116,7 @@ func TestSchedulersEmptyGraph(t *testing.T) {
 	for name, run := range schedulers() {
 		t.Run(name, func(t *testing.T) {
 			g := ddg.NewGraph(0, 0)
-			if _, ok := run(unifiedInput(g, 4, 1), 0); !ok {
+			if _, ok := run(unifiedInput(g, 4, 1)); !ok {
 				t.Error("empty graph should schedule")
 			}
 		})
@@ -129,7 +129,7 @@ func TestStageCount(t *testing.T) {
 	b := g.AddNode(ddg.OpALU, "")
 	g.AddEdge(a, b, 0)
 	in := unifiedInput(g, 4, 1)
-	s, ok := IMS(in, 0)
+	s, ok := IMS(in)
 	if !ok {
 		t.Fatal("unschedulable")
 	}
@@ -165,7 +165,7 @@ func TestSchedulersOnAssignedClusteredLoops(t *testing.T) {
 						CopyTargets: res.CopyTargets,
 						II:          ii,
 					}
-					s, ok := run(in, 0)
+					s, ok := run(in)
 					if !ok {
 						continue
 					}
@@ -194,7 +194,7 @@ func TestIMSDisplacementConverges(t *testing.T) {
 		}
 	}
 	in := unifiedInput(g, 4, 3)
-	s, ok := IMS(in, 0)
+	s, ok := IMS(in)
 	if !ok {
 		t.Fatal("IMS failed on a feasible dense chain")
 	}
@@ -222,5 +222,5 @@ func TestValidateInputPanics(t *testing.T) {
 			t.Error("expected panic on II=0")
 		}
 	}()
-	IMS(Input{Graph: g, Machine: machine.NewUnifiedGP(4), II: 0}, 0)
+	IMS(Input{Graph: g, Machine: machine.NewUnifiedGP(4), II: 0})
 }

@@ -4,9 +4,9 @@ import (
 	"clustersched/internal/obs"
 )
 
-// DefaultSMSBudgetRatio is the displacement budget per node for the
+// smsBudgetRatio is the displacement budget per node for the
 // iterative swing modulo scheduler.
-const DefaultSMSBudgetRatio = 12
+const smsBudgetRatio = 12
 
 // SMS runs an iterative swing modulo scheduler: nodes are taken in the
 // swing order (criticality-ranked recurrences first, neighbours kept
@@ -16,7 +16,7 @@ const DefaultSMSBudgetRatio = 12
 // force-placed and the conflicting occupants displaced, bounded by a
 // budget — the "iterative version of the swing modulo scheduler" the
 // paper uses in phase two.
-func SMS(in Input, budgetRatio int) (*Schedule, bool) {
+func SMS(in Input) (*Schedule, bool) {
 	validateInput(in)
 	g := in.Graph
 	lat := in.Machine.Latency
@@ -32,10 +32,7 @@ func SMS(in Input, budgetRatio int) (*Schedule, bool) {
 	if !ok {
 		return nil, false // recurrence exceeds II; unschedulable
 	}
-	if budgetRatio <= 0 {
-		budgetRatio = DefaultSMSBudgetRatio
-	}
-	budget := budgetRatio * n
+	budget := smsBudgetRatio * n
 
 	prio := s.order.ComputeWith(g, lat, nil, in.Trace)
 	rank := s.rankBuf(n)

@@ -51,14 +51,6 @@ type Config struct {
 	// traversal does not enter; the observability layer legitimately
 	// reads wall-clock time for trace timestamps.
 	NoFollow []string
-	// TestAPI lists module-relative package paths whose exported
-	// functions, methods and option fields must be reached from
-	// non-test code. A path ending in "/" covers the packages under
-	// it, except those inside a testdata directory.
-	TestAPI []string
-	// TestAPIExempt lists module-relative package paths the test-API
-	// rule skips although TestAPI covers them.
-	TestAPIExempt []string
 }
 
 // DefaultConfig returns the project policy: the scheduling pipeline and
@@ -73,20 +65,12 @@ type Config struct {
 // across worker counts (critical — goroutines live in internal/pool,
 // timing goes through obs), and it must stay mutex-free (locks). The
 // frontend is critical because cache keys hash the graphs it builds:
-// their edge order must not depend on map iteration. Every internal
-// package is under the test-API rule: its exported surface exists for
-// the module's own programs, so what only tests reach is dead weight.
-// The serving transport, internal/client and internal/server, is
-// exempt: it is held unchanged while the serve benchmarks' baseline is
-// re-measured, and its typed client methods and Server.CacheStats are
-// still reached only by tests.
+// their edge order must not depend on map iteration.
 func DefaultConfig() Config {
 	return Config{
-		Critical:      []string{"clustersched", "assign", "sched", "mrt", "mii", "order", "ddg", "pipeline", "cache", "membership", "cachering", "compile", "frontend"},
-		Locks:         []string{"cache", "server", "balance", "membership", "cachering", "compile", "frontend"},
-		NoFollow:      []string{"obs"},
-		TestAPI:       []string{"internal/"},
-		TestAPIExempt: []string{"internal/client", "internal/server"},
+		Critical: []string{"clustersched", "assign", "sched", "mrt", "mii", "order", "ddg", "pipeline", "cache", "membership", "cachering", "compile", "frontend"},
+		Locks:    []string{"cache", "server", "balance", "membership", "cachering", "compile", "frontend"},
+		NoFollow: []string{"obs"},
 	}
 }
 

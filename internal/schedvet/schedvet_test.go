@@ -1,6 +1,8 @@
 package schedvet
 
 import (
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -24,6 +26,12 @@ var fixtureDirs = []string{
 
 func fixtureDiags(t *testing.T) []diag.Diagnostic {
 	t.Helper()
+	m, pkgs := loadFixtures(t)
+	return Check(m, pkgs, DefaultConfig())
+}
+
+func loadFixtures(t *testing.T) (*Module, []*Package) {
+	t.Helper()
 	m, err := NewModule(".")
 	if err != nil {
 		t.Fatal(err)
@@ -39,15 +47,14 @@ func fixtureDiags(t *testing.T) []diag.Diagnostic {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	cfg := DefaultConfig()
-	cfg.TestAPI = append(cfg.TestAPI, "internal/schedvet/testdata/src/testapi")
-	return Check(m, pkgs, cfg)
+	return m, pkgs
 }
 
 // TestFixtureFindings proves every pass live: the seeded fixture
 // packages produce exactly the expected findings — one per seeded
 // violation, none for the sanctioned idioms, the allow annotation, or
-// the out-of-scope clean package.
+// the out-of-scope clean package. The testapi fixture lies under
+// testdata, outside VET030's internal/ scope, so it adds nothing here.
 func TestFixtureFindings(t *testing.T) {
 	diags := fixtureDiags(t)
 	var got []string
@@ -76,10 +83,6 @@ func TestFixtureFindings(t *testing.T) {
 		"VET001 cachering.go",  // unordered map range in Points
 		"VET002 membership.go", // time.Now in Touch
 		"VET002 compile.go",    // time.Now in Record
-		"VET030 testapi.go",    // unreferenced function TestOnly
-		"VET030 testapi.go",    // self-referenced function Countdown
-		"VET030 testapi.go",    // reasonless annotation on Bare
-		"VET030 testapi.go",    // never-written field Options.Spare
 	}
 	sort.Strings(got)
 	sort.Strings(want)
@@ -205,13 +208,22 @@ func TestLoadAll(t *testing.T) {
 	}
 }
 
-// TestTestAPISubjects names the VET030 findings of the fixture: the
-// unreferenced and self-referenced functions, the reasonless
-// annotation and the never-written field, while the annotated keepers
-// and the interface method pass.
+// TestTestAPISubjects puts the testapi fixture under VET030 and names
+// its findings: the unreferenced and self-referenced functions, the
+// reasonless annotation and the never-written field, while the
+// annotated keepers and the interface method pass.
 func TestTestAPISubjects(t *testing.T) {
+	m, pkgs := loadFixtures(t)
+	var fixture *Package
+	for _, pkg := range pkgs {
+		if strings.HasSuffix(pkg.Path, "/testapi") {
+			fixture = pkg
+		}
+	}
+	c := &checker{mod: m, cfg: DefaultConfig(), pkgs: pkgs, allows: collectAllows(m, pkgs)}
+	c.testapiOn([]*Package{fixture})
 	var got []string
-	for _, d := range fixtureDiags(t) {
+	for _, d := range c.rep.Diagnostics() {
 		if d.Code == "VET030" {
 			got = append(got, d.Subject)
 		}
@@ -220,5 +232,41 @@ func TestTestAPISubjects(t *testing.T) {
 	sort.Strings(got)
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("VET030 subjects = %v, want %v", got, want)
+	}
+}
+
+// TestTestAPIStopsOnLoadError checks that VET030 judges nothing when a
+// package of the module fails to load: the unreferenced function of
+// the analyzed package would be a false finding, since the broken
+// package's references are unknown, so the load error is reported
+// instead.
+func TestTestAPIStopsOnLoadError(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":          "module tmpmod\n",
+		"internal/a/a.go": "package a\n\nfunc Unused() int { return 1 }\n",
+		"internal/b/b.go": "package b\n\nfunc {\n",
+	}
+	for name, body := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := NewModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := m.LoadDir("internal/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := Check(m, []*Package{pkg}, DefaultConfig())
+	if len(diags) != 1 || diags[0].Code != "VET030" || diags[0].Subject != "" ||
+		!strings.Contains(diags[0].Message, "failed to load") {
+		t.Errorf("diags = \n%s, want one VET030 load failure", renderAll(diags))
 	}
 }

@@ -9,29 +9,46 @@ import (
 	"clustersched/internal/diag"
 )
 
-// testapi keeps test-only API from growing in the TestAPI packages
-// (VET030). It reports an exported function or method that no non-test
-// file references, not counting references from its own body, and an
-// exported field of a …Options or …Config struct that no non-test file
-// writes (a composite-literal key or position, an assignment, an
-// increment or an address-of). A method implementing an interface
-// method counts as reached: calls through the interface are invisible
-// to a static scan. References are collected over every package of the
-// module tree, the nested bench module included, so analyzing one
-// directory gives the same verdict as analyzing the module. A
-// declaration marked //schedvet:test-api with a reason is not reported.
+// testapi keeps test-only API from growing under internal/ (VET030):
+// the exported surface of an internal package exists for the module's
+// own programs, so what only tests reach is dead weight. Fixture
+// packages under testdata are out of scope; the package's tests put
+// one under the rule through testapiOn.
 func (c *checker) testapi() {
 	var targets []*Package
 	for _, pkg := range c.pkgs {
-		if c.cfg.testAPI(strings.TrimPrefix(strings.TrimPrefix(pkg.Path, c.mod.Path), "/")) {
+		rel := strings.TrimPrefix(pkg.Path, c.mod.Path+"/")
+		if strings.HasPrefix(rel, "internal/") && !strings.Contains(rel, "/testdata/") {
 			targets = append(targets, pkg)
 		}
 	}
-	if len(targets) == 0 {
+	if len(targets) > 0 {
+		c.testapiOn(targets)
+	}
+}
+
+// testapiOn reports an exported function or method of the targets that
+// no non-test file references, not counting references from its own
+// body, and an exported field of a …Options or …Config struct that no
+// non-test file writes (a composite-literal key or position, an
+// assignment, an increment or an address-of). A method implementing an
+// interface method counts as reached: calls through the interface are
+// invisible to a static scan. References are collected over every
+// package of the module tree, the nested bench module included, so
+// analyzing one directory gives the same verdict as analyzing the
+// module; when some package fails to load, the scan reports that
+// instead of judging reachability on part of the module. A declaration
+// marked //schedvet:test-api with a reason is not reported.
+func (c *checker) testapiOn(targets []*Package) {
+	if _, err := c.mod.LoadAll(); err != nil {
+		c.rep.Report(diag.Diagnostic{
+			Code:     "VET030",
+			Severity: diag.Error,
+			Message:  "module failed to load; test-only API not checked: " + err.Error(),
+			Fix:      "fix the load error; references from unloaded packages are unknown",
+		})
 		return
 	}
-	// A load error leaves the scan with the packages it has.
-	_, _ = c.mod.LoadAll()
 	refs := c.mod.references()
 	var ifaces []*types.Interface
 	for _, pkg := range targets {
@@ -87,22 +104,6 @@ func (c *checker) testapi() {
 			})
 		}
 	}
-}
-
-// testAPI reports whether a module-relative package path is under the
-// test-API rule: it is not exempt, and it equals a TestAPI prefix or
-// lies under one ending in "/" with no testdata directory in between.
-func (c Config) testAPI(rel string) bool {
-	if contains(c.TestAPIExempt, rel) {
-		return false
-	}
-	for _, p := range c.TestAPI {
-		rest, ok := strings.CutPrefix(rel, p)
-		if ok && (rest == "" || strings.HasSuffix(p, "/") && !strings.Contains("/"+rest+"/", "/testdata/")) {
-			return true
-		}
-	}
-	return false
 }
 
 // hasTestAPIMarker reports whether a comment group carries a

@@ -173,6 +173,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // CacheStats exposes the result cache counters (also on /statsz).
+//
+//schedvet:test-api nothing calls it; the serving transport stays unchanged until the serve baseline is re-measured
 func (s *Server) CacheStats() cache.Stats { return s.cache.Stats() }
 
 // acquire admits a request into the bounded in-flight set, or reports

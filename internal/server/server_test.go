@@ -489,11 +489,16 @@ func TestBackpressure(t *testing.T) {
 // dies before trying a single II candidate — which the trace proves,
 // since any completed search announces at least one.
 func TestClientDisconnectCancelsSearch(t *testing.T) {
-	collector := &obs.Collector{}
+	var (
+		mu     sync.Mutex
+		events []obs.Event
+	)
 	cancelc := make(chan context.CancelFunc, 1)
 	var once sync.Once
 	observer := obs.ObserverFunc(func(e obs.Event) {
-		collector.Event(e)
+		mu.Lock()
+		events = append(events, e)
+		mu.Unlock()
 		if e.Kind == obs.KindPhaseBegin && e.Phase == obs.PhaseMII {
 			once.Do(func() {
 				(<-cancelc)()
@@ -537,14 +542,19 @@ func TestClientDisconnectCancelsSearch(t *testing.T) {
 		}
 	}
 
-	if got := collector.Count(obs.KindIICandidate); got != 0 {
-		t.Errorf("trace shows %d II candidates after disconnect, want 0 (escalation loop must abort)", got)
-	}
-	ended := 0
-	for _, e := range collector.Events() {
-		if e.Kind == obs.KindPhaseEnd && e.Phase == obs.PhaseSched && e.OK {
+	mu.Lock()
+	defer mu.Unlock()
+	candidates, ended := 0, 0
+	for _, e := range events {
+		switch {
+		case e.Kind == obs.KindIICandidate:
+			candidates++
+		case e.Kind == obs.KindPhaseEnd && e.Phase == obs.PhaseSched && e.OK:
 			ended++
 		}
+	}
+	if candidates != 0 {
+		t.Errorf("trace shows %d II candidates after disconnect, want 0 (escalation loop must abort)", candidates)
 	}
 	if ended != 0 {
 		t.Errorf("trace shows %d successful scheduling phases after disconnect", ended)

@@ -30,7 +30,7 @@ func schedule(t *testing.T, g *ddg.Graph, m *machine.Config) (sched.Input, *sche
 			CopyTargets: res.CopyTargets,
 			II:          ii,
 		}
-		if s, ok := sched.IMS(in, 0); ok {
+		if s, ok := sched.IMS(in); ok {
 			return in, s
 		}
 	}
@@ -52,7 +52,7 @@ func TestOptimizePullsProducerTowardUse(t *testing.T) {
 	g.AddEdge(a, d, 0) // a's value waits ~18 cycles if a stays at 0
 	m := machine.NewUnifiedGP(4)
 	in := sched.Input{Graph: g, Machine: m, II: 1}
-	s, ok := sched.IMS(in, 0)
+	s, ok := sched.IMS(in)
 	if !ok {
 		t.Fatal("unschedulable")
 	}
@@ -164,7 +164,7 @@ func TestOptimizeOnTightRecurrence(t *testing.T) {
 	g.AddEdge(c, a, 1)
 	m := machine.NewUnifiedGP(4)
 	in := sched.Input{Graph: g, Machine: m, II: 3}
-	s, ok := sched.IMS(in, 0)
+	s, ok := sched.IMS(in)
 	if !ok {
 		t.Fatal("unschedulable")
 	}

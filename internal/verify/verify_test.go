@@ -32,7 +32,7 @@ func scheduledLoop(t *testing.T, seed int64, m *machine.Config) (sched.Input, *s
 			CopyTargets: res.CopyTargets,
 			II:          ii,
 		}
-		if s, ok := sched.IMS(in, 0); ok {
+		if s, ok := sched.IMS(in); ok {
 			return in, s
 		}
 	}
