@@ -2,7 +2,7 @@
 // clusterd API (/v1/schedule, /v1/batch, /v1/lint) out over N
 // workers. Schedule requests route to the consistent-hash owner of
 // their cache key so repeated requests stay on a warm cache; batch
-// and lint place by power-of-k-choices over live queue depths; slow
+// and lint go to the least-loaded live worker; slow
 // schedule requests are hedged to a second worker after a
 // p99-derived delay. Worker health is tracked via /fleetz heartbeats
 // and transport failures, and a dead worker only remaps the slice of
@@ -13,7 +13,7 @@
 //	clusterlb -workers http://h1:8425,http://h2:8425,http://h3:8425
 //	clusterlb -addr 127.0.0.1:0 -workers ...    # pick a free port (printed)
 //	clusterlb -hedge 0.05 -hedge-min 50ms       # tighter hedge budget
-//	clusterlb -heartbeat 500ms -k 3             # faster probes, wider choices
+//	clusterlb -heartbeat 500ms                  # faster probes
 //
 // GET /healthz answers ok while at least one worker is alive; GET
 // /statsz reports placement, hedge, failover, and ring counters plus
@@ -42,8 +42,6 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8426", "listen address (host:port; port 0 picks a free one)")
 		workers   = flag.String("workers", "", "comma-separated clusterd base URLs (required)")
-		k         = flag.Int("k", 2, "power-of-k-choices placement width")
-		vnodes    = flag.Int("vnodes", 0, "virtual nodes per worker on the cache ring (0 = default)")
 		heartbeat = flag.Duration("heartbeat", time.Second, "worker /fleetz poll interval")
 		hedge     = flag.Float64("hedge", 0.1, "hedge budget as a fraction of dispatches (0 disables hedging)")
 		hedgeMin  = flag.Duration("hedge-min", 20*time.Millisecond, "hedge delay floor (used until p99 is known)")
@@ -61,8 +59,6 @@ func main() {
 	}
 	b, err := balance.New(balance.Config{
 		Workers:        urls,
-		K:              *k,
-		VirtualNodes:   *vnodes,
 		HeartbeatEvery: *heartbeat,
 		HedgeBudget:    *hedge,
 		HedgeAfterMin:  *hedgeMin,
@@ -83,8 +79,8 @@ func main() {
 
 	// The smoke and bench scripts parse this line to find the port.
 	fmt.Printf("clusterlb: listening on http://%s\n", ln.Addr())
-	logger.Printf("%d workers, k=%d, heartbeat %v, hedge %.2f (min %v)",
-		len(urls), *k, *heartbeat, *hedge, *hedgeMin)
+	logger.Printf("%d workers, heartbeat %v, hedge %.2f (min %v)",
+		len(urls), *heartbeat, *hedge, *hedgeMin)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

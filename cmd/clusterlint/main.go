@@ -28,7 +28,6 @@ import (
 	"clustersched/internal/ddgio"
 	"clustersched/internal/diag"
 	"clustersched/internal/experiments"
-	"clustersched/internal/frontend"
 	"clustersched/internal/lint"
 	"clustersched/internal/machine"
 )
@@ -117,38 +116,7 @@ func lintFile(path string, stdin io.Reader) ([]diag.Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	return lintLoopSource(path, string(src)), nil
-}
-
-// lintLoopSource runs the AST lint and, when the source parses, the
-// graph lint over every compiled loop.
-func lintLoopSource(path, src string) []diag.Diagnostic {
-	diags := lint.Source(path, src)
-	if diag.CountErrors(diags) > 0 {
-		return diags // does not parse; nothing to compile
-	}
-	loops, err := frontend.Compile(src)
-	if err != nil {
-		// Parsed but not compilable (e.g. an unschedulable recurrence
-		// detected by graph validation).
-		diags = append(diags, diag.Diagnostic{
-			Code: lint.CodeParseError, Severity: diag.Error,
-			File: path, Message: err.Error(),
-		})
-		return diags
-	}
-	for _, l := range loops {
-		for _, d := range lint.Graph(l.Graph) {
-			d.File = path
-			if d.Subject == "" {
-				d.Subject = "loop " + l.Name
-			} else {
-				d.Subject = "loop " + l.Name + ", " + d.Subject
-			}
-			diags = append(diags, d)
-		}
-	}
-	return diags
+	return lint.SourceGraphs(path, string(src)), nil
 }
 
 // lintDDG lints every loop of a DDG text dump. The dump is read
@@ -160,15 +128,7 @@ func lintDDG(path string, r io.Reader) ([]diag.Diagnostic, error) {
 	}
 	var diags []diag.Diagnostic
 	for _, l := range loops {
-		for _, d := range lint.Graph(l.Graph) {
-			d.File = path
-			if d.Subject == "" {
-				d.Subject = "loop " + l.Name
-			} else {
-				d.Subject = "loop " + l.Name + ", " + d.Subject
-			}
-			diags = append(diags, d)
-		}
+		diags = append(diags, lint.LoopGraph(path, l.Name, l.Graph)...)
 	}
 	return diags, nil
 }

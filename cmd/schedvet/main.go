@@ -98,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	diags := schedvet.Check(mod, pkgs, schedvet.DefaultConfig())
+	diags := schedvet.Check(mod, pkgs)
 	if *jsonOut {
 		if err := diag.JSON(stdout, diags); err != nil {
 			fmt.Fprintf(stderr, "schedvet: %v\n", err)

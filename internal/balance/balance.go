@@ -3,11 +3,10 @@
 // over N workers. Three mechanisms cooperate (docs/SERVICE.md has the
 // operator view):
 //
-//   - Placement. Every dispatch picks a worker with power-of-k-choices
-//     over an idle/queue-depth min-heap (heap.go): pop the k cheapest
-//     candidates, re-score them against the live in-flight counters,
-//     send to the best. Heartbeat polls of each worker's /fleetz feed
-//     the reported-depth half of the score.
+//   - Placement. A dispatch with no ring owner goes to the least-loaded
+//     worker: alive workers before suspect ones before the rest, then
+//     the fewest in-flight requests, then the lowest queue depth the
+//     worker last reported on /fleetz, then the lowest ID.
 //
 //   - Cache affinity. /v1/schedule requests are routed to the
 //     consistent-hash owner of their content-addressed cache key
@@ -27,7 +26,6 @@ package balance
 
 import (
 	"bytes"
-	"container/heap"
 	"context"
 	"encoding/json"
 	"errors"
@@ -53,19 +51,11 @@ const maxBodyBytes = 16 << 20
 type Config struct {
 	// Workers is the clusterd base URLs the balancer fans out over.
 	Workers []string
-	// K is the power-of-k-choices width (default 2).
-	K int
-	// VirtualNodes is the consistent-hash points per worker
-	// (cachering.DefaultVirtualNodes when <= 0).
-	VirtualNodes int
-	// HeartbeatEvery is the /fleetz poll interval (default 1s).
+	// HeartbeatEvery is the /fleetz poll interval (default 1s). A
+	// worker silent for 3 intervals turns suspect, for 9 dead.
 	HeartbeatEvery time.Duration
-	// SuspectAfter and DeadAfter are the membership timeouts; they
-	// default from HeartbeatEvery (3x and 9x).
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
 	// HedgeBudget is the fraction of schedule dispatches that may be
-	// hedged (default 0.1; 0 disables hedging).
+	// hedged (0 or less disables hedging).
 	HedgeBudget float64
 	// HedgeAfterMin floors the hedge delay, and is the delay used
 	// before enough latency samples exist (default 20ms).
@@ -73,40 +63,44 @@ type Config struct {
 	// RequestTimeout bounds one proxied request end to end, including
 	// failover attempts (0 = bounded only by the client connection).
 	RequestTimeout time.Duration
-	// HTTPClient overrides the outbound client (nil = a pooled one).
-	HTTPClient *http.Client
 }
 
 func (c Config) withDefaults() Config {
-	if c.K <= 0 {
-		c.K = 2
-	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3 * c.HeartbeatEvery
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 9 * c.HeartbeatEvery
-	}
-	if c.HedgeBudget < 0 {
-		c.HedgeBudget = 0
 	}
 	if c.HedgeAfterMin <= 0 {
 		c.HedgeAfterMin = 20 * time.Millisecond
 	}
-	if c.HTTPClient == nil {
-		tr := &http.Transport{MaxIdleConns: 256, MaxIdleConnsPerHost: 64, IdleConnTimeout: 90 * time.Second}
-		c.HTTPClient = &http.Client{Transport: tr}
-	}
 	return c
+}
+
+// worker is the balancer's per-node handle: the stable identity (its
+// base URL doubles as the ring node ID), a typed client for heartbeat
+// probes, and the load signals placement scores against — the
+// balancer's own in-flight count (authoritative, updated on every
+// dispatch edge) and the queue depth the worker last reported on
+// /fleetz (staler, but covers load from other frontends).
+type worker struct {
+	id string
+	c  *client.Client
+
+	inflight   atomic.Int64
+	reported   atomic.Int64
+	placements atomic.Int64
+}
+
+// score is the placement key: local in-flight requests dominate, the
+// reported queue depth breaks ties between equally idle workers.
+func (w *worker) score() int64 {
+	return w.inflight.Load()<<20 | (w.reported.Load() & (1<<20 - 1))
 }
 
 // Balancer is clusterlb's http.Handler plus the heartbeat poller.
 // Create one with New, serve it, and run Run in the background.
 type Balancer struct {
 	cfg      Config
+	hc       *http.Client
 	mux      *http.ServeMux
 	members  *membership.Table
 	workers  []*worker // configuration order
@@ -117,9 +111,6 @@ type Balancer struct {
 	budget   hedgeBudget
 
 	requests atomic.Int64
-
-	mu   sync.Mutex // guards the heap (and worker heap indices)
-	heap loadHeap
 
 	ringMu sync.Mutex // serializes rebuilds; reads go through ring
 	ring   atomic.Pointer[cachering.Ring]
@@ -133,10 +124,12 @@ func New(cfg Config) (*Balancer, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("balance: no workers configured")
 	}
+	tr := &http.Transport{MaxIdleConns: 256, MaxIdleConnsPerHost: 64, IdleConnTimeout: 90 * time.Second}
 	b := &Balancer{
 		cfg:     cfg,
+		hc:      &http.Client{Transport: tr},
 		mux:     http.NewServeMux(),
-		members: membership.NewTable(membership.Config{SuspectAfter: cfg.SuspectAfter, DeadAfter: cfg.DeadAfter}),
+		members: membership.NewTable(membership.Config{SuspectAfter: 3 * cfg.HeartbeatEvery, DeadAfter: 9 * cfg.HeartbeatEvery}),
 		byID:    make(map[string]*worker, len(cfg.Workers)),
 		start:   time.Now(),
 		digest:  newLatencyDigest(),
@@ -147,16 +140,11 @@ func New(cfg Config) (*Balancer, error) {
 		if _, dup := b.byID[url]; dup {
 			return nil, fmt.Errorf("balance: duplicate worker %s", url)
 		}
-		w := &worker{id: url, c: client.New(url, cfg.HTTPClient), heapIndex: -1}
+		w := &worker{id: url, c: client.New(url, b.hc)}
 		b.workers = append(b.workers, w)
 		b.byID[url] = w
 		b.members.Register(url, now)
 	}
-	b.mu.Lock()
-	for _, w := range b.workers {
-		heap.Push(&b.heap, w)
-	}
-	b.mu.Unlock()
 	b.rebuildRing()
 
 	b.mux.HandleFunc("/v1/schedule", b.handleSchedule)
@@ -209,9 +197,6 @@ func (b *Balancer) probeAll(ctx context.Context) {
 			}
 			b.members.Heartbeat(w.id, fz.Inflight, now)
 			w.reported.Store(int64(fz.Inflight))
-			b.mu.Lock()
-			b.heap.fix(w)
-			b.mu.Unlock()
 		}(w)
 	}
 	wg.Wait()
@@ -229,7 +214,7 @@ func (b *Balancer) rebuildRing() {
 	if cur := b.ring.Load(); cur != nil && cur.Epoch() == epoch {
 		return
 	}
-	b.ring.Store(cachering.New(epoch, b.members.Eligible(), b.cfg.VirtualNodes))
+	b.ring.Store(cachering.New(epoch, b.members.Eligible()))
 	b.counters.RingRebalances.Add(1)
 }
 
@@ -239,31 +224,30 @@ func (b *Balancer) alive(w *worker) bool {
 	return ok && st == membership.Alive
 }
 
-// pick chooses a dispatch target by power-of-k-choices among the
-// alive workers not in exclude; with no alive candidate it degrades
-// to suspect workers (better a maybe-dead worker than a guaranteed
-// error), and returns nil only when every worker is excluded.
+// pick chooses the least-loaded worker not in exclude: alive workers
+// first, then suspect ones (better a maybe-dead worker than a
+// guaranteed error), then the rest, each tier ordered by score and
+// then ID. It returns nil only when every worker is excluded.
 func (b *Balancer) pick(exclude map[string]bool) *worker {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	w := b.heap.pickK(b.cfg.K, func(w *worker) bool {
-		return !exclude[w.id] && b.alive(w)
-	})
-	if w == nil {
-		w = b.heap.pickK(b.cfg.K, func(w *worker) bool {
-			st, ok := b.members.State(w.id)
-			return !exclude[w.id] && ok && st != membership.Dead
-		})
+	var best *worker
+	var bestTier membership.State
+	var bestScore int64
+	for _, w := range b.workers {
+		if exclude[w.id] {
+			continue
+		}
+		tier, _ := b.members.State(w.id) // Alive < Suspect < Dead
+		score := w.score()
+		if best == nil || tier < bestTier || tier == bestTier && (score < bestScore || score == bestScore && w.id < best.id) {
+			best, bestTier, bestScore = w, tier, score
+		}
 	}
-	if w == nil {
-		w = b.heap.pickK(b.cfg.K, func(w *worker) bool { return !exclude[w.id] })
-	}
-	return w
+	return best
 }
 
 // owner resolves the ring owner of key to a live worker, or nil when
-// the owner is not currently eligible (the caller falls back to
-// k-choices until the next rebalance remaps the arc).
+// the owner is not currently eligible (the caller falls back to the
+// least-loaded pick until the next rebalance remaps the arc).
 func (b *Balancer) owner(key string) *worker {
 	ring := b.ring.Load()
 	if ring == nil {
@@ -298,22 +282,14 @@ type result struct {
 func (b *Balancer) send(ctx context.Context, w *worker, path string, body []byte) result {
 	w.inflight.Add(1)
 	w.placements.Add(1)
-	b.mu.Lock()
-	b.heap.fix(w)
-	b.mu.Unlock()
-	defer func() {
-		w.inflight.Add(-1)
-		b.mu.Lock()
-		b.heap.fix(w)
-		b.mu.Unlock()
-	}()
+	defer w.inflight.Add(-1)
 
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.id+path, bytes.NewReader(body))
 	if err != nil {
 		return result{worker: w, err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := b.cfg.HTTPClient.Do(req)
+	resp, err := b.hc.Do(req)
 	if err != nil {
 		return result{worker: w, err: err}
 	}
@@ -339,7 +315,7 @@ func (b *Balancer) fail(w *worker) {
 	}
 }
 
-// dispatch forwards body to primary (or a k-choices pick when nil),
+// dispatch forwards body to primary (or the least-loaded pick when nil),
 // failing over across workers on transport errors. hedged enables the
 // duplicate-dispatch tail protection for the attempt on the primary.
 func (b *Balancer) dispatch(ctx context.Context, path string, body []byte, primary *worker, hedged bool) result {
@@ -497,7 +473,7 @@ func (b *Balancer) requestCtx(r *http.Request) (context.Context, context.CancelF
 
 // handleSchedule routes one schedule request: to the consistent-hash
 // owner of its cache key when one is live (cache affinity), otherwise
-// by power-of-k-choices; the dispatch is hedged either way.
+// to the least-loaded worker; the dispatch is hedged either way.
 func (b *Balancer) handleSchedule(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeBalancerError(rw, http.StatusMethodNotAllowed, errors.New("POST only"))
@@ -536,8 +512,8 @@ func (b *Balancer) handleSchedule(rw http.ResponseWriter, r *http.Request) {
 	reply(rw, res)
 }
 
-// proxyByChoice forwards a whole request to one k-choices-picked
-// worker with failover (batch and lint have no single cache key to
+// proxyByChoice forwards a whole request to the least-loaded worker
+// with failover (batch and lint have no single cache key to
 // pin them to a ring arc).
 func (b *Balancer) proxyByChoice(path string) http.HandlerFunc {
 	return func(rw http.ResponseWriter, r *http.Request) {

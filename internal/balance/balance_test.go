@@ -13,9 +13,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -89,7 +92,7 @@ func scheduleVia(t *testing.T, url string, req server.ScheduleRequest) (int, []b
 // only on the membership set, so this mirrors the balancer's routing.
 func requestOwnedBy(t *testing.T, ids []string, want string) server.ScheduleRequest {
 	t.Helper()
-	ring := cachering.New(0, ids, 0)
+	ring := cachering.New(0, ids)
 	for i := 0; i < 10000; i++ {
 		req := server.ScheduleRequest{Name: fmt.Sprintf("probe-%d", i), DDG: dotDDG, Machine: "gp:2:2:1"}
 		key, err := server.KeyForRequest(req)
@@ -311,5 +314,150 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Workers: []string{"http://a", "http://a"}}); err == nil {
 		t.Error("New with duplicate workers succeeded")
+	}
+}
+
+// TestPickMatchesSortOracle checks pick over random fleets against
+// its definition: among the workers not excluded, the first by
+// (membership tier, in-flight count, reported depth, ID).
+func TestPickMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(6)
+		urls := make([]string, n)
+		for i := range urls {
+			urls[i] = fmt.Sprintf("http://w%d", rng.Intn(1000)*10+i) // distinct, unordered
+		}
+		b, err := New(Config{Workers: urls})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// ReportFailure makes a worker suspect; the tick an hour later
+		// demotes those to dead and the rest to suspect, and the
+		// heartbeats then revive the alive and suspect tiers.
+		tier := make(map[string]membership.State, n)
+		for _, u := range urls {
+			tier[u] = membership.State(rng.Intn(3))
+			if tier[u] == membership.Dead {
+				b.members.ReportFailure(u, time.Now())
+			}
+		}
+		later := time.Now().Add(time.Hour)
+		b.members.Tick(later)
+		for _, u := range urls {
+			if tier[u] != membership.Dead {
+				b.members.Heartbeat(u, 0, later)
+			}
+			if tier[u] == membership.Suspect {
+				b.members.ReportFailure(u, later)
+			}
+			if st, _ := b.members.State(u); st != tier[u] {
+				t.Fatalf("trial %d: %s is %v, want %v", trial, u, st, tier[u])
+			}
+		}
+		exclude := map[string]bool{}
+		var eligible []*worker
+		for _, w := range b.workers {
+			w.inflight.Store(int64(rng.Intn(3)))
+			w.reported.Store(int64(rng.Intn(3)))
+			if rng.Intn(4) == 0 {
+				exclude[w.id] = true
+			} else {
+				eligible = append(eligible, w)
+			}
+		}
+		sort.Slice(eligible, func(i, j int) bool {
+			a, c := eligible[i], eligible[j]
+			if tier[a.id] != tier[c.id] {
+				return tier[a.id] < tier[c.id]
+			}
+			if a.inflight.Load() != c.inflight.Load() {
+				return a.inflight.Load() < c.inflight.Load()
+			}
+			if a.reported.Load() != c.reported.Load() {
+				return a.reported.Load() < c.reported.Load()
+			}
+			return a.id < c.id
+		})
+		var got, want string // "" for no worker
+		if w := b.pick(exclude); w != nil {
+			got = w.id
+		}
+		if len(eligible) > 0 {
+			want = eligible[0].id
+		}
+		if got != want {
+			t.Fatalf("trial %d: pick = %q, want %q", trial, got, want)
+		}
+	}
+}
+
+// TestConcurrentDispatchBalancesCounters sends concurrent requests
+// through one balancer while heartbeats poll the workers, then checks
+// that every in-flight count returned to 0 and that the placements sum
+// to the requests sent. Run under -race it also covers the shared
+// worker counters.
+func TestConcurrentDispatchBalancesCounters(t *testing.T) {
+	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/fleetz" {
+			fmt.Fprint(w, `{"accepting":true,"inflight":1}`)
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		fmt.Fprint(w, `{}`)
+	})
+	var urls []string
+	for i := 0; i < 3; i++ {
+		ts := httptest.NewServer(stub)
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	b, lb := newBalancer(t, Config{Workers: urls})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	probed := make(chan struct{})
+	go func() {
+		defer close(probed)
+		for ctx.Err() == nil {
+			b.probeAll(ctx)
+		}
+	}()
+	const callers, each = 8, 25
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				resp, err := http.Post(lb.URL+"/v1/lint", "application/json", bytes.NewReader([]byte(`{}`)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("status = %d", resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	cancel()
+	<-probed
+
+	var placements int64
+	for _, w := range b.workers {
+		if n := w.inflight.Load(); n != 0 {
+			t.Errorf("worker %s in-flight = %d after all replies, want 0", w.id, n)
+		}
+		placements += w.placements.Load()
+	}
+	if placements != callers*each {
+		t.Errorf("placements sum to %d, want %d", placements, callers*each)
+	}
+	if stats := b.counters.Snapshot(); stats.Placements != callers*each || stats.Failovers != 0 {
+		t.Errorf("placements/failovers = %d/%d, want %d/0", stats.Placements, stats.Failovers, callers*each)
 	}
 }

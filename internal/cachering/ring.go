@@ -9,7 +9,7 @@
 // A ring is immutable: the balancer builds a fresh one from the
 // membership table's eligible set whenever the membership epoch
 // moves, and swaps it in atomically. Ring contents are a pure
-// function of (epoch, node IDs, virtual-node count) — the package is
+// function of (epoch, node IDs) — the package is
 // determinism-critical under schedvet, and two balancers with the
 // same view agree on every owner.
 package cachering
@@ -21,10 +21,10 @@ import (
 	"strconv"
 )
 
-// DefaultVirtualNodes is the per-node point count used when New is
-// given a non-positive one. 64 points per node keeps the largest
-// ownership arc within a few percent of fair share for small fleets.
-const DefaultVirtualNodes = 64
+// virtualNodes is the per-node point count. 64 points per node keeps
+// the largest ownership arc within a few percent of fair share for
+// small fleets.
+const virtualNodes = 64
 
 type point struct {
 	hash uint64
@@ -48,13 +48,9 @@ func hash64(s string) uint64 {
 }
 
 // New builds the ring for one membership epoch over the given node
-// IDs (deduplicated; order does not matter). vnodes is the number of
-// points per node (DefaultVirtualNodes when <= 0). An empty ID list
-// yields an empty ring whose lookups report no owner.
-func New(epoch uint64, ids []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// IDs (deduplicated; order does not matter). An empty ID list yields
+// an empty ring whose lookups report no owner.
+func New(epoch uint64, ids []string) *Ring {
 	sorted := append([]string(nil), ids...)
 	sort.Strings(sorted)
 	dedup := sorted[:0]
@@ -64,9 +60,9 @@ func New(epoch uint64, ids []string, vnodes int) *Ring {
 		}
 	}
 	r := &Ring{epoch: epoch, ids: dedup}
-	r.points = make([]point, 0, len(dedup)*vnodes)
+	r.points = make([]point, 0, len(dedup)*virtualNodes)
 	for ni, id := range dedup {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			h := hash64("ring\x00" + id + "\x00" + strconv.Itoa(v))
 			r.points = append(r.points, point{hash: h, node: int32(ni)})
 		}

@@ -14,8 +14,8 @@ func keys(n int) []string {
 }
 
 func TestOwnerDeterministicAndOrderIndependent(t *testing.T) {
-	a := New(7, []string{"w0", "w1", "w2"}, 64)
-	b := New(7, []string{"w2", "w0", "w1", "w0"}, 64) // shuffled + duplicate
+	a := New(7, []string{"w0", "w1", "w2"})
+	b := New(7, []string{"w2", "w0", "w1", "w0"}) // shuffled + duplicate
 	for _, k := range keys(200) {
 		oa, ok := a.Owner(k)
 		ob, _ := b.Owner(k)
@@ -30,7 +30,7 @@ func TestOwnerDeterministicAndOrderIndependent(t *testing.T) {
 
 func TestDistributionIsRoughlyFair(t *testing.T) {
 	ids := []string{"w0", "w1", "w2", "w3"}
-	r := New(1, ids, 0) // default vnodes
+	r := New(1, ids)
 	counts := map[string]int{}
 	const n = 4000
 	for _, k := range keys(n) {
@@ -49,8 +49,8 @@ func TestDistributionIsRoughlyFair(t *testing.T) {
 // built on: removing one node moves only the keys it owned, and every
 // remapped key lands on that key's previous first fallback.
 func TestRemovalOnlyRemapsTheLostArc(t *testing.T) {
-	full := New(1, []string{"w0", "w1", "w2"}, 64)
-	reduced := New(2, []string{"w0", "w2"}, 64)
+	full := New(1, []string{"w0", "w1", "w2"})
+	reduced := New(2, []string{"w0", "w2"})
 	moved := 0
 	for _, k := range keys(1000) {
 		before, _ := full.Owner(k)
@@ -77,7 +77,7 @@ func TestRemovalOnlyRemapsTheLostArc(t *testing.T) {
 
 // TestOwnersDistinctAndBounded pins the fallback-order oracle itself.
 func TestOwnersDistinctAndBounded(t *testing.T) {
-	r := New(1, []string{"a", "b", "c"}, 16)
+	r := New(1, []string{"a", "b", "c"})
 	for _, k := range keys(50) {
 		owners := owners(r, k, 5)
 		if len(owners) != 3 {
@@ -94,7 +94,7 @@ func TestOwnersDistinctAndBounded(t *testing.T) {
 }
 
 func TestEmptyRing(t *testing.T) {
-	r := New(0, nil, 8)
+	r := New(0, nil)
 	if len(r.Nodes()) != 0 {
 		t.Fatal("nil-ID ring not empty")
 	}

@@ -50,24 +50,14 @@ func (s State) String() string {
 	}
 }
 
-// Config sets the liveness timeouts. The zero value gets defaults.
+// Config sets the liveness timeouts.
 type Config struct {
 	// SuspectAfter is the heartbeat silence that demotes Alive to
-	// Suspect (default 3s).
+	// Suspect.
 	SuspectAfter time.Duration
-	// DeadAfter is the total silence that demotes Suspect to Dead
-	// (default 10s). Measured from the last successful heartbeat.
+	// DeadAfter is the total silence that demotes Suspect to Dead.
+	// Measured from the last successful heartbeat.
 	DeadAfter time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3 * time.Second
-	}
-	if c.DeadAfter <= c.SuspectAfter {
-		c.DeadAfter = c.SuspectAfter * 3
-	}
-	return c
 }
 
 // Node is one worker's snapshot.
@@ -123,7 +113,7 @@ type Table struct {
 
 // NewTable returns an empty table with the given timeouts.
 func NewTable(cfg Config) *Table {
-	return &Table{cfg: cfg.withDefaults(), byID: make(map[string]*node)}
+	return &Table{cfg: cfg, byID: make(map[string]*node)}
 }
 
 // Register adds a node as Alive (or revives an existing entry). The

@@ -12,8 +12,8 @@ type FleetStats struct {
 	// once, however many attempts or hedges it took).
 	Placements int64 `json:"placements"`
 	// RingRouted counts schedule requests routed to their
-	// consistent-hash owner; ChoiceRouted counts requests placed by
-	// power-of-k-choices (batch, lint, and schedules whose owner was
+	// consistent-hash owner; ChoiceRouted counts requests placed on the
+	// least-loaded worker (batch, lint, and schedules whose owner was
 	// unavailable or whose key could not be derived).
 	RingRouted   int64 `json:"ring_routed"`
 	ChoiceRouted int64 `json:"choice_routed"`

@@ -26,7 +26,7 @@ import (
 // which is exactly the window the rules constrain.
 func (c *checker) lockdiscipline() {
 	for _, pkg := range c.pkgs {
-		if !c.cfg.locked(pkg.Path) {
+		if !locked(pkg.Path) {
 			continue
 		}
 		for _, fd := range funcsOf(pkg) {

@@ -24,7 +24,7 @@ import (
 //	sort.Ints(keys)
 func (c *checker) mapiter() {
 	for _, pkg := range c.pkgs {
-		if !c.cfg.critical(pkg.Path) {
+		if !critical(pkg.Path) {
 			continue
 		}
 		for _, f := range pkg.Files {

@@ -55,7 +55,7 @@ func (c *checker) nondet() {
 	// Lexical rule: forbidden calls directly inside critical packages.
 	for _, fn := range order {
 		ff := facts[fn]
-		if !c.cfg.critical(ff.fd.pkg.Path) {
+		if !critical(ff.fd.pkg.Path) {
 			continue
 		}
 		for _, site := range ff.forbidden {
@@ -79,7 +79,7 @@ func (c *checker) nondet() {
 	var queue []*types.Func
 	for _, fn := range order {
 		ff := facts[fn]
-		if c.cfg.critical(ff.fd.pkg.Path) && ff.fd.decl.Name.IsExported() {
+		if critical(ff.fd.pkg.Path) && ff.fd.decl.Name.IsExported() {
 			rootOf[fn] = funcDisplayName(ff.fd)
 			queue = append(queue, fn)
 		}
@@ -88,7 +88,7 @@ func (c *checker) nondet() {
 		fn := queue[0]
 		queue = queue[1:]
 		ff := facts[fn]
-		if ff == nil || c.cfg.noFollow(ff.fd.pkg.Path) {
+		if ff == nil || noFollow(ff.fd.pkg.Path) {
 			continue
 		}
 		for _, site := range ff.forbidden {
@@ -118,7 +118,7 @@ func (c *checker) nondet() {
 
 	// Ordering-sensitivity rule, lexical in critical packages.
 	for _, pkg := range c.pkgs {
-		if !c.cfg.critical(pkg.Path) {
+		if !critical(pkg.Path) {
 			continue
 		}
 		for _, f := range pkg.Files {

@@ -35,44 +35,24 @@ import (
 	"clustersched/internal/diag"
 )
 
-// Config selects which packages each pass applies to. Packages are
-// matched by the final segment of their import path, so fixture
-// packages under testdata/src/<name> receive the same treatment as the
-// real package of that name.
-type Config struct {
-	// Critical lists the final path segments of determinism-critical
-	// packages: mapiter and the lexical nondet checks apply inside
-	// them, and their exported functions are the nondet roots.
-	Critical []string
-	// Locks lists the final path segments of packages under the lock
-	// discipline (no channel ops or I/O while a mutex is held).
-	Locks []string
-	// NoFollow lists final path segments the nondet reachability
-	// traversal does not enter; the observability layer legitimately
-	// reads wall-clock time for trace timestamps.
-	NoFollow []string
-}
-
-// DefaultConfig returns the project policy: the scheduling pipeline and
-// its key-construction packages are determinism-critical, the daemon
-// cache and server are lock-disciplined, and obs is the timestamp
-// allowlist. The fleet control plane splits along the same line:
-// membership and cachering are deterministic state machines (time is
-// threaded in as parameters) and so are fully critical, while balance
-// legitimately owns timers, goroutines, and selects for hedging and
-// heartbeats and is held only to the lock discipline. The streaming
-// compile executor is under both: its output must be byte-identical
-// across worker counts (critical — goroutines live in internal/pool,
-// timing goes through obs), and it must stay mutex-free (locks). The
-// frontend is critical because cache keys hash the graphs it builds:
-// their edge order must not depend on map iteration.
-func DefaultConfig() Config {
-	return Config{
-		Critical: []string{"clustersched", "assign", "sched", "mrt", "mii", "order", "ddg", "pipeline", "cache", "membership", "cachering", "compile", "frontend"},
-		Locks:    []string{"cache", "server", "balance", "membership", "cachering", "compile", "frontend"},
-		NoFollow: []string{"obs"},
-	}
-}
+// The project policy, by the final segment of a package's import path
+// (so fixtures under testdata/src/<name> are treated as the real
+// package of that name). criticalPkgs are determinism-critical:
+// mapiter and the lexical nondet checks apply inside them, and their
+// exported functions are the nondet roots. This covers the scheduling
+// pipeline, its key-construction packages, the fleet's deterministic
+// state machines (membership and cachering take time as parameters),
+// the streaming compile executor (byte-identical output across worker
+// counts) and the frontend (cache keys hash the graphs it builds).
+// lockedPkgs hold no mutex across channel operations or I/O; balance is
+// only here, since it owns the timers, goroutines and selects of
+// hedging and heartbeats. The nondet traversal does not enter
+// noFollowPkgs: obs reads wall-clock time for trace timestamps.
+var (
+	criticalPkgs = []string{"clustersched", "assign", "sched", "mrt", "mii", "order", "ddg", "pipeline", "cache", "membership", "cachering", "compile", "frontend"}
+	lockedPkgs   = []string{"cache", "server", "balance", "membership", "cachering", "compile", "frontend"}
+	noFollowPkgs = []string{"obs"}
+)
 
 // pathSegment returns the final segment of an import path.
 func pathSegment(path string) string {
@@ -93,14 +73,13 @@ func contains(list []string, s string) bool {
 	return false
 }
 
-func (c Config) critical(path string) bool { return contains(c.Critical, pathSegment(path)) }
-func (c Config) locked(path string) bool   { return contains(c.Locks, pathSegment(path)) }
-func (c Config) noFollow(path string) bool { return contains(c.NoFollow, pathSegment(path)) }
+func critical(path string) bool { return contains(criticalPkgs, pathSegment(path)) }
+func locked(path string) bool   { return contains(lockedPkgs, pathSegment(path)) }
+func noFollow(path string) bool { return contains(noFollowPkgs, pathSegment(path)) }
 
 // checker carries the shared state of one analysis run.
 type checker struct {
 	mod    *Module
-	cfg    Config
 	pkgs   []*Package
 	allows allowSet
 	rep    diag.Reporter
@@ -108,8 +87,8 @@ type checker struct {
 
 // Check runs every pass over the given packages of the module and
 // returns the findings sorted into the canonical diagnostic order.
-func Check(m *Module, pkgs []*Package, cfg Config) []diag.Diagnostic {
-	c := &checker{mod: m, cfg: cfg, pkgs: pkgs, allows: collectAllows(m, pkgs)}
+func Check(m *Module, pkgs []*Package) []diag.Diagnostic {
+	c := &checker{mod: m, pkgs: pkgs, allows: collectAllows(m, pkgs)}
 	c.mapiter()
 	c.nondet()
 	c.allocfree()

@@ -27,7 +27,7 @@ var fixtureDirs = []string{
 func fixtureDiags(t *testing.T) []diag.Diagnostic {
 	t.Helper()
 	m, pkgs := loadFixtures(t)
-	return Check(m, pkgs, DefaultConfig())
+	return Check(m, pkgs)
 }
 
 func loadFixtures(t *testing.T) (*Module, []*Package) {
@@ -137,7 +137,7 @@ func TestAllowSuppression(t *testing.T) {
 		t.Fatal(err)
 	}
 	selects := 0
-	for _, d := range Check(m, []*Package{pkg}, DefaultConfig()) {
+	for _, d := range Check(m, []*Package{pkg}) {
 		if d.Code == "VET003" {
 			selects++
 		}
@@ -167,7 +167,7 @@ func TestRealTreeClean(t *testing.T) {
 			t.Errorf("type error in %s: %v", pkg.Path, e)
 		}
 	}
-	if diags := Check(m, pkgs, DefaultConfig()); len(diags) > 0 {
+	if diags := Check(m, pkgs); len(diags) > 0 {
 		t.Errorf("schedvet findings in the real tree:\n%s", renderAll(diags))
 	}
 }
@@ -210,8 +210,9 @@ func TestLoadAll(t *testing.T) {
 
 // TestTestAPISubjects puts the testapi fixture under VET030 and names
 // its findings: the unreferenced and self-referenced functions, the
-// reasonless annotation and the never-written field, while the
-// annotated keepers and the interface method pass.
+// reasonless annotation, the never-written field and the field only
+// its own struct's defaults method writes, while the annotated
+// keepers, the element-written field and the interface method pass.
 func TestTestAPISubjects(t *testing.T) {
 	m, pkgs := loadFixtures(t)
 	var fixture *Package
@@ -220,7 +221,7 @@ func TestTestAPISubjects(t *testing.T) {
 			fixture = pkg
 		}
 	}
-	c := &checker{mod: m, cfg: DefaultConfig(), pkgs: pkgs, allows: collectAllows(m, pkgs)}
+	c := &checker{mod: m, pkgs: pkgs, allows: collectAllows(m, pkgs)}
 	c.testapiOn([]*Package{fixture})
 	var got []string
 	for _, d := range c.rep.Diagnostics() {
@@ -228,7 +229,7 @@ func TestTestAPISubjects(t *testing.T) {
 			got = append(got, d.Subject)
 		}
 	}
-	want := []string{"testapi.Bare", "testapi.Countdown", "testapi.Options.Spare", "testapi.TestOnly"}
+	want := []string{"testapi.Bare", "testapi.Countdown", "testapi.Options.Limit", "testapi.Options.Spare", "testapi.TestOnly"}
 	sort.Strings(got)
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("VET030 subjects = %v, want %v", got, want)
@@ -264,7 +265,7 @@ func TestTestAPIStopsOnLoadError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Check(m, []*Package{pkg}, DefaultConfig())
+	diags := Check(m, []*Package{pkg})
 	if len(diags) != 1 || diags[0].Code != "VET030" || diags[0].Subject != "" ||
 		!strings.Contains(diags[0].Message, "failed to load") {
 		t.Errorf("diags = \n%s, want one VET030 load failure", renderAll(diags))

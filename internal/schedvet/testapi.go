@@ -31,7 +31,9 @@ func (c *checker) testapi() {
 // no non-test file references, not counting references from its own
 // body, and an exported field of a …Options or …Config struct that no
 // non-test file writes (a composite-literal key or position, an
-// assignment, an increment or an address-of). A method implementing an
+// assignment, an element assignment, an increment or an address-of)
+// outside the methods of the struct itself, so a defaults method does
+// not count as a setter. A method implementing an
 // interface method counts as reached: calls through the interface are
 // invisible to a static scan. References are collected over every
 // package of the module tree, the nested bench module included, so
@@ -145,8 +147,28 @@ func (m *Module) references() refSet {
 }
 
 // scan records the references of one declaration; self is the
-// function it declares, whose recursive calls do not count.
+// function it declares, whose recursive calls do not count, and whose
+// writes to the fields of its own receiver's struct do not count
+// either.
 func (r refSet) scan(info *types.Info, decl ast.Node, self *types.Func) {
+	var own map[*types.Var]bool // the fields of self's receiver struct
+	if self != nil && self.Type().(*types.Signature).Recv() != nil {
+		t := self.Type().(*types.Signature).Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if st, ok := t.Underlying().(*types.Struct); ok {
+			own = make(map[*types.Var]bool, st.NumFields())
+			for i := 0; i < st.NumFields(); i++ {
+				own[st.Field(i).Origin()] = true
+			}
+		}
+	}
+	write := func(obj types.Object) {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !own[v.Origin()] {
+			r.written[v.Origin()] = true
+		}
+	}
 	ast.Inspect(decl, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
@@ -162,39 +184,41 @@ func (r refSet) scan(info *types.Info, decl ast.Node, self *types.Func) {
 			for i, elt := range n.Elts {
 				if kv, isKV := elt.(*ast.KeyValueExpr); isKV {
 					if id, isID := kv.Key.(*ast.Ident); isID {
-						r.write(info.Uses[id])
+						write(info.Uses[id])
 					}
 				} else if ok && i < st.NumFields() {
-					r.write(st.Field(i))
+					write(st.Field(i))
 				}
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				r.writeSelector(info, lhs)
+				write(writtenField(info, lhs))
 			}
 		case *ast.IncDecStmt:
-			r.writeSelector(info, n.X)
+			write(writtenField(info, n.X))
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				r.writeSelector(info, n.X)
+				write(writtenField(info, n.X))
 			}
 		}
 		return true
 	})
 }
 
-func (r refSet) writeSelector(info *types.Info, e ast.Expr) {
-	if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+// writtenField returns the field a write to e sets: the selected field
+// of x.f, also when the write goes to one of its elements (x.f[k]), or
+// nil when e selects no field.
+func writtenField(info *types.Info, e ast.Expr) types.Object {
+	e = ast.Unparen(e)
+	for ix, ok := e.(*ast.IndexExpr); ok; ix, ok = e.(*ast.IndexExpr) {
+		e = ast.Unparen(ix.X)
+	}
+	if sel, ok := e.(*ast.SelectorExpr); ok {
 		if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-			r.write(s.Obj())
+			return s.Obj()
 		}
 	}
-}
-
-func (r refSet) write(obj types.Object) {
-	if v, ok := obj.(*types.Var); ok && v.IsField() {
-		r.written[v.Origin()] = true
-	}
+	return nil
 }
 
 // interfaces lists error and every named interface type with methods

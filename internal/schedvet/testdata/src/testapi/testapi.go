@@ -1,13 +1,15 @@
 // Package testapi seeds VET030 for TestTestAPISubjects: TestOnly,
-// Countdown, Bare and Options.Spare are flagged; Oracle, Trace and
-// Name.String are not.
+// Countdown, Bare, Options.Spare and Options.Limit are flagged;
+// Oracle, Trace, Flags and Name.String are not.
 package testapi
 
 import "fmt"
 
 type Options struct {
-	Depth int // written by run
-	Spare int // read, never written
+	Depth int     // written by run
+	Spare int     // read, never written
+	Limit int     // written only by Options' own defaults method
+	Flags [2]bool // written element by element
 	//schedvet:test-api the fixture's deliberate keeper field
 	Trace bool
 }
@@ -40,3 +42,11 @@ func (n Name) String() string { return string(n) }
 var _ fmt.Stringer = Name("")
 
 func run() int { return Reached(Options{Depth: 1}) }
+
+func (o *Options) defaults() { o.Limit = 8 }
+
+func tuned() (o Options) {
+	o.defaults()
+	o.Flags[1] = true
+	return o
+}

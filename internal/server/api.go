@@ -216,7 +216,7 @@ type FleetzResponse struct {
 	// Accepting is false only while the worker is draining.
 	Accepting bool `json:"accepting"`
 	// Inflight is the admitted-request depth the balancer's
-	// power-of-k-choices placement scores against.
+	// least-loaded placement breaks ties with.
 	Inflight    int   `json:"inflight"`
 	MaxInflight int   `json:"max_inflight"`
 	Requests    int64 `json:"requests"`

@@ -726,7 +726,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 	}
 	diags := []diag.Diagnostic{}
 	if req.Source != "" {
-		diags = append(diags, lintSource("<source>", req.Source)...)
+		diags = append(diags, lint.SourceGraphs("<source>", req.Source)...)
 	}
 	if req.DDG != "" {
 		loops, err := ddgio.ReadLax(strings.NewReader(req.DDG))
@@ -735,15 +735,7 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		for _, l := range loops {
-			for _, d := range lint.Graph(l.Graph) {
-				d.File = "<ddg>"
-				if d.Subject == "" {
-					d.Subject = "loop " + l.Name
-				} else {
-					d.Subject = "loop " + l.Name + ", " + d.Subject
-				}
-				diags = append(diags, d)
-			}
+			diags = append(diags, lint.LoopGraph("<ddg>", l.Name, l.Graph)...)
 		}
 	}
 	if req.Machine != "" {
@@ -757,34 +749,6 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, LintResponse{Diagnostics: diags, Errors: diag.CountErrors(diags)})
-}
-
-// lintSource mirrors clusterlint's loop-source pass: the AST lint
-// first, then the graph lint over every loop that compiles.
-func lintSource(path, src string) []diag.Diagnostic {
-	diags := lint.Source(path, src)
-	if diag.CountErrors(diags) > 0 {
-		return diags
-	}
-	loops, err := frontend.Compile(src)
-	if err != nil {
-		return append(diags, diag.Diagnostic{
-			Code: lint.CodeParseError, Severity: diag.Error,
-			File: path, Message: err.Error(),
-		})
-	}
-	for _, l := range loops {
-		for _, d := range lint.Graph(l.Graph) {
-			d.File = path
-			if d.Subject == "" {
-				d.Subject = "loop " + l.Name
-			} else {
-				d.Subject = "loop " + l.Name + ", " + d.Subject
-			}
-			diags = append(diags, d)
-		}
-	}
-	return diags
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -17,8 +17,10 @@ go run ./cmd/schedvet ./...
 # dependence graph's lazily built caches (concurrent readers race to
 # build them), the assignment engine's differential/fuzz-seed tests,
 # and the frontend (compile.Source builds loops on several workers
-# while the parser goes on appending to the slabs they view).
-go test -race ./internal/ddg/ ./internal/pool/ ./internal/obs/ ./internal/experiments/ ./internal/explore/ ./internal/cache/ ./internal/server/ ./internal/assign/ ./internal/pipeline/ ./internal/compile/ ./internal/frontend/ .
+# while the parser goes on appending to the slabs they view), and the
+# fleet front end (the balancer shares its worker counters across
+# dispatches, the heartbeat fan-out and hedge legs).
+go test -race ./internal/ddg/ ./internal/pool/ ./internal/obs/ ./internal/experiments/ ./internal/explore/ ./internal/cache/ ./internal/server/ ./internal/assign/ ./internal/pipeline/ ./internal/compile/ ./internal/frontend/ ./internal/balance/ ./internal/membership/ ./internal/cachering/ .
 # Compile-corpus oracle: every kernel the streaming executor emits for
 # the regression corpus must execute functionally identical to the
 # naive non-pipelined loop (sim cross-validation plus the Livermore
