@@ -28,8 +28,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"hash/fnv"
-	"io"
 	"sync"
 
 	"clustersched/internal/ddg"
@@ -45,15 +43,14 @@ import (
 // parts — so two different requests cannot collide by concatenation.
 // Like the pipeline itself, it requires non-nil inputs.
 func Key(g *ddg.Graph, m *machine.Config, extra ...string) string {
-	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	wInt := func(v int) {
-		n := binary.PutVarint(buf[:], int64(v))
-		h.Write(buf[:n])
-	}
+	// The encoding is appended to one buffer and hashed in one call:
+	// a big loop would otherwise cost a thousand small hash writes.
+	bp := keyBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	wInt := func(v int) { buf = binary.AppendVarint(buf, int64(v)) }
 	wStr := func(s string) {
 		wInt(len(s))
-		io.WriteString(h, s)
+		buf = append(buf, s...)
 	}
 
 	wStr("clustersched-key-v1")
@@ -103,8 +100,21 @@ func Key(g *ddg.Graph, m *machine.Config, extra ...string) string {
 	for _, s := range extra {
 		wStr(s)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(buf)
+	if cap(buf) <= maxKeyBuf {
+		*bp = buf
+		keyBufs.Put(bp)
+	}
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	return string(hexSum[:])
 }
+
+// keyBufs recycles Key's encoding buffers; one bigger than maxKeyBuf
+// (a loop of tens of thousands of operations) is left to the collector.
+var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+const maxKeyBuf = 64 << 10
 
 // Source classifies how GetOrCompute produced its value.
 type Source int
@@ -279,9 +289,13 @@ func (s *shard) tick() uint64 {
 }
 
 func (c *Cache) shardFor(key string) *shard {
-	h := fnv.New32a()
-	io.WriteString(h, key)
-	return &c.shards[h.Sum32()%numShards]
+	// FNV-1a, inlined: hash/fnv would box its state per lookup.
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return &c.shards[h%numShards]
 }
 
 // Fingerprint is the SHA-256 of a request's exact bytes: the identity

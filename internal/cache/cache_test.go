@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"clustersched/internal/ddg"
+	"clustersched/internal/loopgen"
 	"clustersched/internal/machine"
 )
 
@@ -67,6 +68,31 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 	add("machine buses changed", Key(g, machine.NewBusedGP(2, 1, 1), "heuristic-iterative", "ims"))
 	add("extra changed", Key(g, m, "simple", "ims"))
 	add("extra split moved", Key(g, m, "heuristic-iterativeims"))
+}
+
+// TestKeyGolden pins Key's bytes: three loops of the paper's suite
+// (seed 1: the first, a 15-node one and the largest, 161 nodes) under
+// the daemon's default option identity, one machine each. A change of
+// these digests orphans every cached reply and re-routes a fleet's
+// keys, so it must be deliberate.
+func TestKeyGolden(t *testing.T) {
+	suite := loopgen.Suite(loopgen.Options{Seed: 1})
+	cases := []struct {
+		loop int
+		m    *machine.Config
+		want string
+	}{
+		{0, machine.NewBusedGP(2, 2, 1), "e2f66d8a733befe266122b29f1d1687d0a80646a9e015c1d4e22ca418ea5e336"},
+		{7, machine.NewBusedFS(4, 4, 2), "af15249bb997d35881e715638692906329372750ccbf393113fc56a4da169ab4"},
+		{1302, machine.NewGrid4(2), "2a5e65b5d04b1e2aafee60e67629d1ba43c385f67690a0214661a76f6b493ddd"},
+	}
+	for _, tc := range cases {
+		g := suite[tc.loop]
+		got := Key(g, tc.m, fmt.Sprintf("loop%d", tc.loop), "heuristic-iterative", "ims", "budget=0", "slack=0")
+		if got != tc.want {
+			t.Errorf("Key(loop %d, %d nodes, %s) = %s, want %s", tc.loop, g.NumNodes(), tc.m.Name, got, tc.want)
+		}
+	}
 }
 
 func TestGetOrComputeHitAndCounters(t *testing.T) {

@@ -26,6 +26,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"clustersched/internal/ddg"
 )
@@ -42,7 +44,7 @@ type NamedGraph struct {
 // like clusterlint — that want to analyse broken inputs rather than
 // refuse them.
 func Read(r io.Reader) ([]NamedGraph, error) {
-	return read(r, true)
+	return readAll(r, true)
 }
 
 // ReadLax parses every loop in the stream without validating the
@@ -50,81 +52,106 @@ func Read(r io.Reader) ([]NamedGraph, error) {
 // node references, malformed numbers) are still reported; semantic
 // ones (zero-distance cycles) are left for the caller to diagnose.
 func ReadLax(r io.Reader) ([]NamedGraph, error) {
-	return read(r, false)
+	return readAll(r, false)
+}
+
+// ReadString is Read over text already in memory, without copying
+// it: the names of the loops and nodes it returns are substrings of
+// text.
+func ReadString(text string) ([]NamedGraph, error) {
+	return parse(text, true, nil)
 }
 
 // maxLine caps one line of the text format.
 const maxLine = 16 * 1024 * 1024
 
-func read(r io.Reader, validate bool) ([]NamedGraph, error) {
-	sc := bufio.NewScanner(r)
-	// The line buffer starts no larger than the input when its length
-	// is known (strings.Reader, bytes.Reader) and doubles only as long
-	// lines demand, so a short loop never pays for the cap.
-	size := 4096
-	if l, ok := r.(interface{ Len() int }); ok && l.Len() < size {
-		size = l.Len() + 1 // room for the read that sees EOF
+// maxHint caps the nodes and edges a loop header presizes its graph
+// for, so a text full of "node" lines that fail to parse cannot make
+// the reader allocate far beyond its own size.
+const maxHint = 1 << 14
+
+// readAll reads the whole stream and parses it. A read error is
+// reported after every line read before it has been parsed, the last
+// partial line included.
+func readAll(r io.Reader, validate bool) ([]NamedGraph, error) {
+	var b strings.Builder
+	if l, ok := r.(interface{ Len() int }); ok {
+		b.Grow(l.Len())
 	}
-	sc.Buffer(make([]byte, 0, size), maxLine)
+	_, err := io.Copy(&b, r)
+	return parse(b.String(), validate, err)
+}
+
+// parse reads every loop of text in one pass over its bytes. Lines are
+// split on '\n' and fields on Unicode white space, as strings.Fields
+// splits them; a line of maxLine bytes or more fails the way
+// bufio.Scanner's token cap does. readErr, when set, is the error that
+// cut the text short, reported in place of an unclosed final loop.
+func parse(text string, validate bool, readErr error) ([]NamedGraph, error) {
 	var (
 		out  []NamedGraph
 		cur  *NamedGraph
 		line int
 	)
-	for sc.Scan() {
+	for pos := 0; pos < len(text); {
+		l := text[pos:]
+		if i := strings.IndexByte(l, '\n'); i >= 0 {
+			l = l[:i]
+		}
+		pos += len(l) + 1
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		if len(l) >= maxLine {
+			return nil, fmt.Errorf("ddgio: %w", bufio.ErrTooLong)
+		}
+		f0, i := nextField(l, 0)
+		if f0 == "" || f0[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
-		switch fields[0] {
+		f1, i := nextField(l, i)
+		switch f0 {
 		case "loop":
 			if cur != nil {
 				return nil, fmt.Errorf("ddgio: line %d: loop %q not closed with end", line, cur.Name)
 			}
-			name := ""
-			if len(fields) > 1 {
-				name = fields[1]
-			}
-			cur = &NamedGraph{Name: name, Graph: ddg.NewGraph(16, 32)}
+			nodes, edges := sizeHint(text[min(pos, len(text)):])
+			out = append(out, NamedGraph{Name: f1, Graph: ddg.NewGraph(nodes, edges)})
+			cur = &out[len(out)-1]
 		case "node":
 			if cur == nil {
 				return nil, fmt.Errorf("ddgio: line %d: node outside loop", line)
 			}
-			if len(fields) < 3 {
+			f2, i := nextField(l, i)
+			if f2 == "" {
 				return nil, fmt.Errorf("ddgio: line %d: node needs id and kind", line)
 			}
-			id, err := strconv.Atoi(fields[1])
+			id, err := strconv.Atoi(f1)
 			if err != nil {
-				return nil, fmt.Errorf("ddgio: line %d: bad node id %q", line, fields[1])
+				return nil, fmt.Errorf("ddgio: line %d: bad node id %q", line, f1)
 			}
 			if id != cur.Graph.NumNodes() {
 				return nil, fmt.Errorf("ddgio: line %d: node id %d out of order (want %d)", line, id, cur.Graph.NumNodes())
 			}
-			kind, ok := ddg.ParseOpKind(fields[2])
+			kind, ok := ddg.ParseOpKind(f2)
 			if !ok {
-				return nil, fmt.Errorf("ddgio: line %d: unknown kind %q", line, fields[2])
+				return nil, fmt.Errorf("ddgio: line %d: unknown kind %q", line, f2)
 			}
-			name := ""
-			if len(fields) > 3 {
-				name = strings.Join(fields[3:], " ")
-			}
-			cur.Graph.AddNode(kind, name)
+			cur.Graph.AddNode(kind, joinFields(l[i:]))
 		case "edge":
 			if cur == nil {
 				return nil, fmt.Errorf("ddgio: line %d: edge outside loop", line)
 			}
-			if len(fields) != 4 {
+			f2, i := nextField(l, i)
+			f3, i := nextField(l, i)
+			if f4, _ := nextField(l, i); f3 == "" || f4 != "" {
 				return nil, fmt.Errorf("ddgio: line %d: edge needs from, to, distance", line)
 			}
 			var v [3]int
-			for i := 0; i < 3; i++ {
-				x, err := strconv.Atoi(fields[i+1])
+			for k, f := range [3]string{f1, f2, f3} {
+				x, err := strconv.Atoi(f)
 				if err != nil {
-					return nil, fmt.Errorf("ddgio: line %d: bad integer %q", line, fields[i+1])
+					return nil, fmt.Errorf("ddgio: line %d: bad integer %q", line, f)
 				}
-				v[i] = x
+				v[k] = x
 			}
 			if v[0] < 0 || v[0] >= cur.Graph.NumNodes() || v[1] < 0 || v[1] >= cur.Graph.NumNodes() {
 				return nil, fmt.Errorf("ddgio: line %d: edge references undeclared node", line)
@@ -142,19 +169,92 @@ func read(r io.Reader, validate bool) ([]NamedGraph, error) {
 					return nil, fmt.Errorf("ddgio: line %d: invalid loop %q: %w", line, cur.Name, err)
 				}
 			}
-			out = append(out, *cur)
 			cur = nil
 		default:
-			return nil, fmt.Errorf("ddgio: line %d: unknown directive %q", line, fields[0])
+			return nil, fmt.Errorf("ddgio: line %d: unknown directive %q", line, f0)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ddgio: %w", err)
+	if readErr != nil {
+		return nil, fmt.Errorf("ddgio: %w", readErr)
 	}
 	if cur != nil {
 		return nil, fmt.Errorf("ddgio: loop %q not closed with end", cur.Name)
 	}
 	return out, nil
+}
+
+// sizeHint counts the node and edge lines of the loop whose body
+// starts at rest, up to its first line that starts with "end". Lines
+// indented with white space are not counted; the graph then grows.
+func sizeHint(rest string) (nodes, edges int) {
+	for nodes+edges < 2*maxHint && !strings.HasPrefix(rest, "end") {
+		if strings.HasPrefix(rest, "node") {
+			nodes++
+		} else if strings.HasPrefix(rest, "edge") {
+			edges++
+		}
+		i := strings.IndexByte(rest, '\n')
+		if i < 0 {
+			break
+		}
+		rest = rest[i+1:]
+	}
+	return min(nodes, maxHint), min(edges, maxHint)
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// nextField returns the first field of s[i:] by strings.Fields' rules
+// and the index just past it, or "" when only white space is left.
+func nextField(s string, i int) (string, int) {
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			i++
+		} else if r, size := utf8.DecodeRuneInString(s[i:]); unicode.IsSpace(r) {
+			i += size
+		} else {
+			break
+		}
+	}
+	start := i
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				break
+			}
+			i++
+		} else if r, size := utf8.DecodeRuneInString(s[i:]); !unicode.IsSpace(r) {
+			i += size
+		} else {
+			break
+		}
+	}
+	return s[start:i], i
+}
+
+// joinFields is strings.Join(strings.Fields(s), " "). When the fields
+// of s are already one ASCII space apart, which is how Write renders a
+// name, it is a substring of s and allocates nothing.
+func joinFields(s string) string {
+	first, end := nextField(s, 0)
+	if first == "" {
+		return ""
+	}
+	start := end - len(first)
+	for {
+		f, next := nextField(s, end)
+		if f == "" {
+			return s[start:end]
+		}
+		if next-len(f) != end+1 || s[end] != ' ' {
+			return strings.Join(strings.Fields(s), " ")
+		}
+		end = next
+	}
 }
 
 // Write renders one loop in the text format.

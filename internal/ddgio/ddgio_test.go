@@ -144,7 +144,8 @@ func TestNodeNameWithSpaces(t *testing.T) {
 
 // TestReadAllocatesInProportion pins the parse path's memory: reading
 // one loop of the paper's suite (seed 1) allocates on the order of the
-// loop, not a fixed line buffer sized for the 16 MiB line cap.
+// loop: its text once, the graph presized, and no line buffer or
+// per-line fields (a mean of about 1.8 KiB on the reference host).
 func TestReadAllocatesInProportion(t *testing.T) {
 	suite := loopgen.Suite(loopgen.Options{Seed: 1})
 	texts := make([]string, len(suite))
@@ -166,8 +167,8 @@ func TestReadAllocatesInProportion(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	mean := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(texts))
 	t.Logf("mean %.0f bytes allocated per Read over %d loops", mean, len(texts))
-	if mean > 16<<10 {
-		t.Errorf("Read allocates %.0f bytes per suite loop, want <= 16 KiB", mean)
+	if mean > 2<<10 {
+		t.Errorf("Read allocates %.0f bytes per suite loop, want <= 2 KiB", mean)
 	}
 }
 

@@ -11,9 +11,6 @@ import (
 	"fmt"
 	"net/http"
 	"time"
-
-	"clustersched/internal/cache"
-	"clustersched/internal/cli"
 )
 
 // KeyForRequest resolves a schedule request exactly like the
@@ -21,29 +18,11 @@ import (
 // It fails on whatever the handler would reject (missing machine, bad
 // option spec, zero or several loops); the balancer falls back to
 // load-based placement for such requests and lets the worker produce
-// the authoritative error.
+// the authoritative error. It keeps no machine cache: the balancer
+// parses the spec with the request's DDG.
 func KeyForRequest(req ScheduleRequest) (string, error) {
-	if req.Machine == "" {
-		return "", errors.New("machine spec is required")
-	}
-	m, err := cli.ParseMachine(req.Machine)
+	m, _, _, optID, err := resolveRequest(nil, req.Machine, req.Variant, req.Scheduler, req.BudgetPerNode, req.MaxIISlack)
 	if err != nil {
-		return "", err
-	}
-	// Validate the option spellings like resolveCommon, so an invalid
-	// variant is routed by load, not by a key the worker will reject.
-	variant := req.Variant
-	if variant == "" {
-		variant = "heuristic-iterative"
-	}
-	if _, err := cli.ParseVariant(variant); err != nil {
-		return "", err
-	}
-	scheduler := req.Scheduler
-	if scheduler == "" {
-		scheduler = "ims"
-	}
-	if _, err := cli.ParseScheduler(scheduler); err != nil {
 		return "", err
 	}
 	loops, err := parseLoops(req.DDG, req.Source)
@@ -53,9 +32,8 @@ func KeyForRequest(req ScheduleRequest) (string, error) {
 	if len(loops) != 1 {
 		return "", fmt.Errorf("schedule takes exactly one loop, got %d", len(loops))
 	}
-	id := append([]string{nameFor(req.Name, loops[0].Name)},
-		optionIdentity(req.Variant, req.Scheduler, req.BudgetPerNode, req.MaxIISlack)...)
-	return cache.Key(loops[0].Graph, m, id...), nil
+	_, key := loopKey(req.Name, loops[0], m, optID)
+	return key, nil
 }
 
 // handleFleetz serves the worker-side heartbeat: identity, queue

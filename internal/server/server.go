@@ -31,6 +31,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -131,8 +132,9 @@ type Server struct {
 	auditFailures atomic.Int64
 
 	// sessions holds the warm scheduling sessions every miss draws
-	// from.
+	// from, and machines the machine specs requests have named.
 	sessions *sessionRegistry
+	machines *machineCache
 
 	// scheduleOne runs one missed loop on a session drawn from
 	// sessions (sessionSchedule); tests substitute it.
@@ -155,6 +157,7 @@ func New(cfg Config) *Server {
 		start: time.Now(),
 
 		sessions:    newSessionRegistry(),
+		machines:    newMachineCache(),
 		scheduleOne: sessionSchedule,
 	}
 	s.mux.HandleFunc(apiPrefix+"/schedule", s.handleSchedule)
@@ -249,11 +252,31 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return decodeRaw(raw, err, v)
 }
 
-// readBody reads the size-capped request body whole. When the read
-// fails (an oversized body, a broken connection) it returns the bytes
-// read so far with the error.
+// readBody reads the size-capped request body whole. A body that
+// declares its length is read into one buffer of that length, with a
+// byte to spare for the read that sees EOF. When the read fails (an
+// oversized body, a broken connection) it returns the bytes read so
+// far with the error.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	n := r.ContentLength
+	if n < 0 || n > maxBodyBytes {
+		return io.ReadAll(body)
+	}
+	b := make([]byte, 0, n+1)
+	for {
+		k, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+k]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // decodeRaw decodes a body readBody returned exactly as a decoder
@@ -291,34 +314,54 @@ type scheduleJob struct {
 	key         string
 }
 
-// resolveCommon parses the machine spec and option names shared by
-// schedule and batch requests, returning the facade options and the
-// option part of the cache identity.
-func (s *Server) resolveCommon(machineSpec, variant, scheduler string, budget, slack int) (*clustersched.Machine, []clustersched.Option, []string, error) {
+// resolveRequest checks the machine spec and option names every
+// scheduling request carries, and returns the machine (parsed through
+// machines), the assignment variant, the scheduler, and the option
+// part of the cache identity. The handlers and KeyForRequest both
+// resolve through it, so the balancer's routing key and the worker's
+// cache key cannot drift apart.
+func resolveRequest(machines *machineCache, machineSpec, variant, scheduler string, budget, slack int) (*clustersched.Machine, clustersched.Variant, clustersched.Scheduler, []string, error) {
 	if machineSpec == "" {
-		return nil, nil, nil, errors.New("machine spec is required")
+		return nil, 0, 0, nil, errors.New("machine spec is required")
 	}
-	m, err := cli.ParseMachine(machineSpec)
+	m, err := machines.parse(machineSpec)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, 0, 0, nil, err
 	}
-	var opts []clustersched.Option
 	if variant == "" {
 		variant = "heuristic-iterative"
 	}
 	v, err := cli.ParseVariant(variant)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, 0, 0, nil, err
 	}
-	opts = append(opts, clustersched.WithVariant(v))
 	if scheduler == "" {
 		scheduler = "ims"
 	}
 	sch, err := cli.ParseScheduler(scheduler)
 	if err != nil {
+		return nil, 0, 0, nil, err
+	}
+	// The option part of the cache identity.
+	optID := []string{
+		strings.ToLower(variant),
+		strings.ToLower(scheduler),
+		"budget=" + strconv.Itoa(budget),
+		"slack=" + strconv.Itoa(slack),
+	}
+	return m, v, sch, optID, nil
+}
+
+// resolveCommon resolves the machine spec and option names shared by
+// schedule, batch and compile requests, returning the facade options
+// and the option part of the cache identity.
+func (s *Server) resolveCommon(machineSpec, variant, scheduler string, budget, slack int) (*clustersched.Machine, []clustersched.Option, []string, error) {
+	m, v, sch, optID, err := resolveRequest(s.machines, machineSpec, variant, scheduler, budget, slack)
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	opts = append(opts, clustersched.WithScheduler(clustersched.Scheduler(sch)))
+	opts := make([]clustersched.Option, 0, 6)
+	opts = append(opts, clustersched.WithVariant(v), clustersched.WithScheduler(sch))
 	if budget > 0 {
 		opts = append(opts, clustersched.WithBudget(budget))
 	}
@@ -333,25 +376,7 @@ func (s *Server) resolveCommon(machineSpec, variant, scheduler string, budget, s
 	}
 	// The cache identity must cover everything that changes the
 	// response body; the timeout and observer do not.
-	return m, opts, optionIdentity(variant, scheduler, budget, slack), nil
-}
-
-// optionIdentity is the option part of the cache identity. It is
-// shared with KeyForRequest so the balancer's ring routing and the
-// handler's cache lookup can never disagree on a key.
-func optionIdentity(variant, scheduler string, budget, slack int) []string {
-	if variant == "" {
-		variant = "heuristic-iterative"
-	}
-	if scheduler == "" {
-		scheduler = "ims"
-	}
-	return []string{
-		strings.ToLower(variant),
-		strings.ToLower(scheduler),
-		fmt.Sprintf("budget=%d", budget),
-		fmt.Sprintf("slack=%d", slack),
-	}
+	return m, opts, optID, nil
 }
 
 // nameFor resolves the response (and cache-identity) name of a loop:
@@ -387,7 +412,7 @@ func readLoops(ddgText, source string) ([]ddgio.NamedGraph, error) {
 	case ddgText != "" && source != "":
 		return nil, errors.New("give either ddg or source, not both")
 	case ddgText != "":
-		loops, err := ddgio.Read(strings.NewReader(ddgText))
+		loops, err := ddgio.ReadString(ddgText)
 		if err != nil {
 			return nil, err
 		}
@@ -412,8 +437,7 @@ func readLoops(ddgText, source string) ([]ddgio.NamedGraph, error) {
 
 // buildJob resolves one loop into a runnable, cacheable job.
 func (s *Server) buildJob(name, machineSpec string, loop ddgio.NamedGraph, m *clustersched.Machine, opts []clustersched.Option, optID []string) scheduleJob {
-	name = nameFor(name, loop.Name)
-	id := append([]string{name}, optID...)
+	name, key := loopKey(name, loop, m, optID)
 	return scheduleJob{
 		name:        name,
 		machineSpec: machineSpec,
@@ -421,8 +445,18 @@ func (s *Server) buildJob(name, machineSpec string, loop ddgio.NamedGraph, m *cl
 		machine:     m,
 		options:     opts,
 		optID:       optID,
-		key:         cache.Key(loop.Graph, m, id...),
+		key:         key,
 	}
+}
+
+// loopKey returns the reply name of one loop of a schedule request and
+// its content-addressed cache key; KeyForRequest computes the routing
+// key with it too.
+func loopKey(reqName string, loop ddgio.NamedGraph, m *clustersched.Machine, optID []string) (name, key string) {
+	name = nameFor(reqName, loop.Name)
+	id := make([]string, 0, 1+len(optID))
+	id = append(append(id, name), optID...)
+	return name, cache.Key(loop.Graph, m, id...)
 }
 
 // ResponseFor flattens a finished schedule into the API response
@@ -469,7 +503,7 @@ func (s *Server) runJob(ctx context.Context, job scheduleJob) ([]byte, cache.Sou
 			s.auditFailures.Add(1)
 			return nil, &auditError{diags: resp.Diagnostics}
 		}
-		return json.Marshal(resp)
+		return resp.MarshalJSON()
 	})
 }
 
@@ -500,10 +534,15 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// Bodies outside the fast decoder's subset, and every malformed
+	// one, go through decodeRaw, which reports the error.
 	var req ScheduleRequest
-	if err := decodeRaw(raw, readErr, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	if readErr != nil || !decodeScheduleRequest(raw, &req) {
+		req = ScheduleRequest{}
+		if err := decodeRaw(raw, readErr, &req); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
 	}
 	m, opts, optID, err := s.resolveCommon(req.Machine, req.Variant, req.Scheduler, req.BudgetPerNode, req.MaxIISlack)
 	if err != nil {

@@ -7,6 +7,12 @@ set -eu
 go build ./...
 go vet ./...
 go test ./...
+# Differential fuzzing, 10 s each: the /v1/schedule fast request
+# decoder against encoding/json, and the one-pass ddg reader against
+# the line-scanner oracle it replaced. A failing input is written under
+# the package's testdata/fuzz and fails the gate.
+go test -run '^$' -fuzz '^FuzzDecodeScheduleRequest$' -fuzztime 10s ./internal/server/
+go test -run '^$' -fuzz '^FuzzParseMatchesScanner$' -fuzztime 10s ./internal/ddgio/
 # Static determinism/zero-alloc gate: schedvet must run clean over the
 # whole module (an //schedvet:alloc-free function gaining an allocation
 # or a critical package gaining an unordered map range fails here).
