@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"strings"
 
+	"clustersched/internal/httpbody"
 	"clustersched/internal/server"
 )
 
@@ -75,7 +76,7 @@ func (c *Client) do(ctx context.Context, method, path string, req, out any) (bod
 		return nil, "", err
 	}
 	defer resp.Body.Close()
-	body, err = readReply(resp)
+	body, err = httpbody.Read(io.LimitReader(resp.Body, maxReply), resp.ContentLength)
 	if err != nil {
 		return nil, "", err
 	}
@@ -94,31 +95,6 @@ func (c *Client) do(ctx context.Context, method, path string, req, out any) (bod
 
 // maxReply caps the reply bytes do reads.
 const maxReply = 64 << 20
-
-// readReply reads a reply body up to maxReply bytes. A reply that
-// declares its length is read into one buffer of that length, with a
-// byte to spare for the read that sees EOF.
-func readReply(resp *http.Response) ([]byte, error) {
-	n := resp.ContentLength
-	if n < 0 || n > maxReply {
-		return io.ReadAll(io.LimitReader(resp.Body, maxReply))
-	}
-	r := io.LimitedReader{R: resp.Body, N: maxReply}
-	b := make([]byte, 0, n+1)
-	for {
-		k, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+k]
-		if err != nil {
-			if err == io.EOF {
-				err = nil
-			}
-			return b, err
-		}
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-	}
-}
 
 // Schedule runs one loop through /v1/schedule. cached reports whether
 // the daemon served the result from its cache (hit or coalesced)

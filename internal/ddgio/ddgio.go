@@ -65,11 +65,6 @@ func ReadString(text string) ([]NamedGraph, error) {
 // maxLine caps one line of the text format.
 const maxLine = 16 * 1024 * 1024
 
-// maxHint caps the nodes and edges a loop header presizes its graph
-// for, so a text full of "node" lines that fail to parse cannot make
-// the reader allocate far beyond its own size.
-const maxHint = 1 << 14
-
 // readAll reads the whole stream and parses it. A read error is
 // reported after every line read before it has been parsed, the last
 // partial line included.
@@ -92,6 +87,11 @@ func parse(text string, validate bool, readErr error) ([]NamedGraph, error) {
 		out  []NamedGraph
 		cur  *NamedGraph
 		line int
+		// budget bounds the graph capacity all loops together presize:
+		// a node or edge line is at least 10 bytes ("node 0 alu"), so
+		// valid text never runs out of it, and text full of lines that
+		// fail to parse makes the reader allocate in proportion to it.
+		budget = len(text) / 10
 	)
 	for pos := 0; pos < len(text); {
 		l := text[pos:]
@@ -113,7 +113,8 @@ func parse(text string, validate bool, readErr error) ([]NamedGraph, error) {
 			if cur != nil {
 				return nil, fmt.Errorf("ddgio: line %d: loop %q not closed with end", line, cur.Name)
 			}
-			nodes, edges := sizeHint(text[min(pos, len(text)):])
+			nodes, edges := sizeHint(text[min(pos, len(text)):], budget)
+			budget -= nodes + edges
 			out = append(out, NamedGraph{Name: f1, Graph: ddg.NewGraph(nodes, edges)})
 			cur = &out[len(out)-1]
 		case "node":
@@ -183,23 +184,27 @@ func parse(text string, validate bool, readErr error) ([]NamedGraph, error) {
 	return out, nil
 }
 
-// sizeHint counts the node and edge lines of the loop whose body
-// starts at rest, up to its first line that starts with "end". Lines
-// indented with white space are not counted; the graph then grows.
-func sizeHint(rest string) (nodes, edges int) {
-	for nodes+edges < 2*maxHint && !strings.HasPrefix(rest, "end") {
-		if strings.HasPrefix(rest, "node") {
+// sizeHint counts the node and edge lines, at most budget of them, of
+// the loop whose body starts at rest. It stops where parse ends the
+// loop: at the first line whose first field is "end" or "loop".
+func sizeHint(rest string, budget int) (nodes, edges int) {
+	for rest != "" && nodes+edges < budget {
+		l := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			l, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		switch f, _ := nextField(l, 0); f {
+		case "node":
 			nodes++
-		} else if strings.HasPrefix(rest, "edge") {
+		case "edge":
 			edges++
+		case "end", "loop":
+			return nodes, edges
 		}
-		i := strings.IndexByte(rest, '\n')
-		if i < 0 {
-			break
-		}
-		rest = rest[i+1:]
 	}
-	return min(nodes, maxHint), min(edges, maxHint)
+	return nodes, edges
 }
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace reports.

@@ -172,6 +172,30 @@ func TestReadAllocatesInProportion(t *testing.T) {
 	}
 }
 
+// TestPresizeIsBoundedByText: loops closed by an indented "end" and
+// followed by more node lines must each presize for their own lines
+// only, so the whole parse allocates in proportion to the text.
+func TestPresizeIsBoundedByText(t *testing.T) {
+	for _, unit := range []string{
+		"loop x\nnode 0 alu\n end\n",
+		"loop x\nnode 0 alu\n\tend\n",
+		"loop x\n# end\nnode 0 alu\nend\n",
+	} {
+		text := strings.Repeat(unit, 500)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		loops, err := ReadLax(strings.NewReader(text))
+		runtime.ReadMemStats(&after)
+		if err != nil || len(loops) != 500 {
+			t.Fatalf("%q x 500: %d loops, %v", unit, len(loops), err)
+		}
+		if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(text)); per > 16 {
+			t.Errorf("%q x 500: %.1f bytes allocated per byte of text, want <= 16", unit, per)
+		}
+	}
+}
+
 // BenchmarkReadSuiteLoop parses one loop of the paper's suite per
 // iteration, cycling through the suite.
 func BenchmarkReadSuiteLoop(b *testing.B) {

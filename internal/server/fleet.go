@@ -18,10 +18,9 @@ import (
 // It fails on whatever the handler would reject (missing machine, bad
 // option spec, zero or several loops); the balancer falls back to
 // load-based placement for such requests and lets the worker produce
-// the authoritative error. It keeps no machine cache: the balancer
-// parses the spec with the request's DDG.
+// the authoritative error.
 func KeyForRequest(req ScheduleRequest) (string, error) {
-	m, _, _, optID, err := resolveRequest(nil, req.Machine, req.Variant, req.Scheduler, req.BudgetPerNode, req.MaxIISlack)
+	m, _, _, optID, err := resolveRequest(req.Machine, req.Variant, req.Scheduler, req.BudgetPerNode, req.MaxIISlack)
 	if err != nil {
 		return "", err
 	}

@@ -45,6 +45,7 @@ import (
 	"clustersched/internal/ddgio"
 	"clustersched/internal/diag"
 	"clustersched/internal/frontend"
+	"clustersched/internal/httpbody"
 	"clustersched/internal/lint"
 	"clustersched/internal/obs"
 	"clustersched/internal/pipeline"
@@ -132,9 +133,8 @@ type Server struct {
 	auditFailures atomic.Int64
 
 	// sessions holds the warm scheduling sessions every miss draws
-	// from, and machines the machine specs requests have named.
+	// from.
 	sessions *sessionRegistry
-	machines *machineCache
 
 	// scheduleOne runs one missed loop on a session drawn from
 	// sessions (sessionSchedule); tests substitute it.
@@ -157,7 +157,6 @@ func New(cfg Config) *Server {
 		start: time.Now(),
 
 		sessions:    newSessionRegistry(),
-		machines:    newMachineCache(),
 		scheduleOne: sessionSchedule,
 	}
 	s.mux.HandleFunc(apiPrefix+"/schedule", s.handleSchedule)
@@ -252,31 +251,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return decodeRaw(raw, err, v)
 }
 
-// readBody reads the size-capped request body whole. A body that
-// declares its length is read into one buffer of that length, with a
-// byte to spare for the read that sees EOF. When the read fails (an
-// oversized body, a broken connection) it returns the bytes read so
-// far with the error.
+// readBody reads the size-capped request body whole. When the read
+// fails (an oversized body, a broken connection) it returns the bytes
+// read so far with the error.
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	n := r.ContentLength
-	if n < 0 || n > maxBodyBytes {
-		return io.ReadAll(body)
-	}
-	b := make([]byte, 0, n+1)
-	for {
-		k, err := body.Read(b[len(b):cap(b)])
-		b = b[:len(b)+k]
-		if err != nil {
-			if err == io.EOF {
-				err = nil
-			}
-			return b, err
-		}
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-	}
+	return httpbody.Read(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 }
 
 // decodeRaw decodes a body readBody returned exactly as a decoder
@@ -315,16 +294,15 @@ type scheduleJob struct {
 }
 
 // resolveRequest checks the machine spec and option names every
-// scheduling request carries, and returns the machine (parsed through
-// machines), the assignment variant, the scheduler, and the option
-// part of the cache identity. The handlers and KeyForRequest both
-// resolve through it, so the balancer's routing key and the worker's
-// cache key cannot drift apart.
-func resolveRequest(machines *machineCache, machineSpec, variant, scheduler string, budget, slack int) (*clustersched.Machine, clustersched.Variant, clustersched.Scheduler, []string, error) {
+// scheduling request carries, and returns the machine, the assignment
+// variant, the scheduler, and the option part of the cache identity.
+// The handlers and KeyForRequest both resolve through it, so the
+// balancer's routing key and the worker's cache key cannot drift apart.
+func resolveRequest(machineSpec, variant, scheduler string, budget, slack int) (*clustersched.Machine, clustersched.Variant, clustersched.Scheduler, []string, error) {
 	if machineSpec == "" {
 		return nil, 0, 0, nil, errors.New("machine spec is required")
 	}
-	m, err := machines.parse(machineSpec)
+	m, err := cli.ParseMachine(machineSpec)
 	if err != nil {
 		return nil, 0, 0, nil, err
 	}
@@ -356,7 +334,7 @@ func resolveRequest(machines *machineCache, machineSpec, variant, scheduler stri
 // schedule, batch and compile requests, returning the facade options
 // and the option part of the cache identity.
 func (s *Server) resolveCommon(machineSpec, variant, scheduler string, budget, slack int) (*clustersched.Machine, []clustersched.Option, []string, error) {
-	m, v, sch, optID, err := resolveRequest(s.machines, machineSpec, variant, scheduler, budget, slack)
+	m, v, sch, optID, err := resolveRequest(machineSpec, variant, scheduler, budget, slack)
 	if err != nil {
 		return nil, nil, nil, err
 	}

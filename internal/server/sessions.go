@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"clustersched"
-	"clustersched/internal/cli"
 )
 
 // maxSessionKeys caps the warm-session registry's keys. A daemon
@@ -98,50 +97,4 @@ func (p *sessionPool) put(sess *clustersched.Session) {
 // sessionSchedule is the production Server.scheduleOne.
 func sessionSchedule(ctx context.Context, sess *clustersched.Session, g *clustersched.Graph) (*clustersched.Result, error) {
 	return sess.Schedule(ctx, g)
-}
-
-// maxMachineSpecs caps a machineCache. Like the session registry's
-// keys, the specs a daemon sees are a handful; past the cap a new spec
-// is parsed on every request that names it.
-const maxMachineSpecs = 64
-
-// machineCache holds parsed machine specs by their exact spelling, so
-// a daemon parses each spec once. The configurations are shared
-// read-only, as the registry's sessions already share theirs; one
-// configuration per spec also keeps machine.TopologyOf's
-// per-configuration cache from churning.
-type machineCache struct {
-	mu sync.Mutex
-	m  map[string]*clustersched.Machine
-}
-
-func newMachineCache() *machineCache {
-	return &machineCache{m: make(map[string]*clustersched.Machine)}
-}
-
-// parse is cli.ParseMachine through the cache; a nil cache parses
-// every time. Parse errors are not kept.
-func (c *machineCache) parse(spec string) (*clustersched.Machine, error) {
-	if c == nil {
-		return cli.ParseMachine(spec)
-	}
-	c.mu.Lock()
-	m, ok := c.m[spec]
-	c.mu.Unlock()
-	if ok {
-		return m, nil
-	}
-	m, err := cli.ParseMachine(spec)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.m[spec]; ok {
-		return prev, nil
-	}
-	if len(c.m) < maxMachineSpecs {
-		c.m[spec] = m
-	}
-	return m, nil
 }
